@@ -331,9 +331,6 @@ class TensorElement:
             c = CoeffPoly.scalar(c)
         return TensorElement({p: c * f for p, f in self.terms.items()})
 
-    def swap(self) -> "TensorElement":
-        return TensorElement({(v, w): f for (w, v), f in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -193,24 +193,6 @@ def sweedler_pairs(x: AlgebroidElement):
 
 
 # ---------------------------------------------------------------------------
-# Helpers on tensors
-
-
-def _pair_map(t: TensorElement, f, g) -> TensorElement:
-    """Apply elementwise maps to the two legs and multiply out."""
-    out = TensorElement.zero()
-    for (w, v), c in t.terms.items():
-        left = f(AlgebroidElement.from_forest(w))
-        right = g(AlgebroidElement.from_forest(v))
-        out = out + TensorElement.of(left, right).scale(c)
-    return out
-
-
-def _tensor_counit_unit(c: CoeffPoly) -> AlgebroidElement:
-    return AlgebroidElement.iota(c)
-
-
-# ---------------------------------------------------------------------------
 # Suite: weak post-Hopf axioms of the triangle action
 
 

@@ -8,7 +8,9 @@ line of all output so runs can be reproduced from their artifacts.
 
 Exit codes: 0 on success and on passing suites, 1 when a suite reports a
 failing identity (the counterexample is printed), 2 on usage errors,
-malformed configuration or capacity bounds.
+malformed configuration, capacity bounds or a numeric experiment leaving
+its domain of validity (for example a step too long for the exponential
+chart); errors print one ``error:`` line on stderr.
 
 A config file holds flat ``key=value`` lines (``#`` comments allowed)
 with keys named like the long flags, underscores for dashes; explicit
@@ -25,8 +27,8 @@ from .algebroid import (AlgebroidElement, concat_mul, gl_antipode, gl_product,
                         parse_element, theta, triangle)
 from .braiding import check_braiding
 from .checks import SUITES
-from .geomint import (ConfigurationError, ExperimentConfig, geometric_grid,
-                      run_experiment)
+from .geomint import (ConfigurationError, ExperimentConfig, NumericError,
+                      geometric_grid, run_experiment)
 from .series import exp_gl, field_series, modified_field
 from .trees import CapacityError, ParseError, enumerate_forests
 
@@ -249,7 +251,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "series":
             return _cmd_series(args)
         return _cmd_experiment(args)
-    except (ConfigurationError, ParseError, CapacityError, ValueError, OSError) as exc:
+    except (ConfigurationError, ParseError, CapacityError, NumericError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

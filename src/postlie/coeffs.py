@@ -267,17 +267,5 @@ class CoeffPoly:
         return f"CoeffPoly({self})"
 
 
-ZERO = CoeffPoly.zero()
-ONE = CoeffPoly.one()
-
-
-def poly_add(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
-    return a + b
-
-
-def poly_mul(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
-    return a * b
-
-
 def derive(tau: PlanarTree, f: CoeffPoly) -> CoeffPoly:
     return f.derive(tau)

@@ -35,6 +35,16 @@ Conventions, fixed once and used everywhere:
 
 The float pipeline for volume diagnostics runs in extended precision
 (``np.longdouble``) because the signals of interest sit near 1e-12.
+
+Finite-difference derivatives (``--derivatives fd``) nest stencils, so a
+depth-k derivative costs 8^k evaluations of its base callable.  Three
+exact savings keep that affordable without changing a single bit of
+the results: ``NumericCoeff`` reuses its eight shift matrices across
+every stencil, ``NumericCoeff.value`` keeps a one-point memo per
+coefficient (float arrays only, keyed on dtype, shape and bytes; object
+arrays always recompute), and ``MatrixPoly.value`` caches per dtype its
+cast coefficients and nonzero factors.  The memo holds one entry per
+coefficient, so memory stays constant however many points a run visits.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .algebroid import AlgebroidElement
 from .coeffs import AromaGenerator, CoeffPoly
@@ -230,7 +239,7 @@ class MatrixPoly:
     infinitesimal right translation when M sits in the Lie algebra.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_plans")
 
     def __init__(self, dim: int, terms=None):
         clean: dict[Exponents, Fraction] = {}
@@ -246,12 +255,14 @@ class MatrixPoly:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
         self.dim = dim
         self.terms = {e: c for e, c in clean.items() if c}
+        self._plans = {}
 
     @classmethod
     def _raw(cls, dim: int, terms: dict[Exponents, Fraction]) -> "MatrixPoly":
         out = object.__new__(cls)
         out.dim = dim
         out.terms = terms
+        out._plans = {}
         return out
 
     @staticmethod
@@ -339,18 +350,31 @@ class MatrixPoly:
                         acc.pop(key, None)
         return MatrixPoly._raw(d, acc)
 
+    def _plan(self, dt) -> tuple:
+        """Per term, the coefficient cast to ``dt`` and its nonzero factors.
+
+        Factors are (entry, exponent) pairs.  Cached per dtype, which is
+        sound because a MatrixPoly is never mutated after construction.
+        """
+        plan = self._plans.get(dt)
+        if plan is None:
+            plan = tuple((_cast_coeff(dt, c),
+                          tuple((v, e) for v, e in enumerate(exps) if e))
+                         for exps, c in self.terms.items())
+            self._plans[dt] = plan
+        return plan
+
     def value(self, Q):
         """Evaluate at a matrix; dtype follows Q (exact on object arrays)."""
         A = np.asarray(Q)
         flat = A.reshape(-1)
         dt = A.dtype if A.dtype.kind == "f" else None
         total = dt.type(0) if dt is not None else Fraction(0)
-        for exps, c in self.terms.items():
-            term = _cast_coeff(dt, c)
-            for v, e in enumerate(exps):
+        for term, factors in self._plan(dt):
+            for v, e in factors:
                 if e == 1:
                     term = term * flat[v]
-                elif e:
+                else:
                     term = term * flat[v] ** e
             total = total + term
         return total
@@ -431,9 +455,18 @@ class NumericCoeff:
     Frame derivatives are 4th-order central differences along the frame
     direction with one Richardson refinement; step 1e-4.  Derivatives
     stack, so any depth is available at the cost of repeated differencing.
+
+    The eight shift matrices exp(k h e_i), k in {2, 1, -1, -2} and
+    h in {1e-4, 5e-5}, are built once per derived direction and shared by
+    every stencil evaluation.  ``value`` remembers its last point: nested
+    stencils and products of shared coefficients evaluate the same
+    coefficient at the same point many times in a row.  The memo is one
+    ``(key, value)`` pair, swapped in by a single assignment so threads
+    share it safely, and it keys on the bytes of float arrays only (the
+    bytes of an object array are pointers, so those always recompute).
     """
 
-    __slots__ = ("frame", "fn", "_dcache")
+    __slots__ = ("frame", "fn", "_dcache", "_memo")
 
     _STEP = 1e-4
 
@@ -441,6 +474,7 @@ class NumericCoeff:
         self.frame = frame
         self.fn = fn
         self._dcache: dict[int, "NumericCoeff"] = {}
+        self._memo: tuple | None = None
 
     @staticmethod
     def entry(frame: GroupFrame, a: int, b: int) -> "NumericCoeff":
@@ -452,38 +486,53 @@ class NumericCoeff:
         return NumericCoeff(frame, lambda Q: c)
 
     def value(self, Q):
-        return self.fn(Q)
+        A = np.asarray(Q)
+        if A.dtype.kind != "f":
+            return self.fn(A)
+        key = (A.dtype, A.shape, A.tobytes())
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        out = self.fn(A)
+        self._memo = (key, out)
+        return out
 
     def derive(self, i: int) -> "NumericCoeff":
         out = self._dcache.get(i)
         if out is not None:
             return out
-        fn = self.fn
+        f = self.value
         ex = self.frame.exp_map
         e = self.frame.basis[i]
+        step = self._STEP
+        # Shifts (k h) e_i for k = 2, 1, -1, -2, built from the same
+        # Python-float products as a fresh ``ex(k * h * e)`` call.
+        shifts = {h: tuple(ex(k * h * e) for k in (2, 1, -1, -2))
+                  for h in (step, step / 2)}
 
         def stencil(Q, h):
-            return (-fn(Q @ ex(2 * h * e)) + 8 * fn(Q @ ex(h * e))
-                    - 8 * fn(Q @ ex(-h * e)) + fn(Q @ ex(-2 * h * e))) / (12 * h)
+            p2, p1, m1, m2 = shifts[h]
+            return (-f(Q @ p2) + 8 * f(Q @ p1)
+                    - 8 * f(Q @ m1) + f(Q @ m2)) / (12 * h)
 
-        def fd(Q, h=self._STEP):
-            return (16 * stencil(Q, h / 2) - stencil(Q, h)) / 15
+        def fd(Q):
+            return (16 * stencil(Q, step / 2) - stencil(Q, step)) / 15
 
         out = NumericCoeff(self.frame, fd)
         self._dcache[i] = out
         return out
 
     def add(self, other: "NumericCoeff") -> "NumericCoeff":
-        f, g = self.fn, other.fn
+        f, g = self.value, other.value
         return NumericCoeff(self.frame, lambda Q: f(Q) + g(Q))
 
     def mul(self, other: "NumericCoeff") -> "NumericCoeff":
-        f, g = self.fn, other.fn
+        f, g = self.value, other.value
         return NumericCoeff(self.frame, lambda Q: f(Q) * g(Q))
 
     def scale(self, c) -> "NumericCoeff":
         c = float(c)
-        f = self.fn
+        f = self.value
         return NumericCoeff(self.frame, lambda Q: c * f(Q))
 
     def is_zero(self) -> bool:
@@ -820,6 +869,9 @@ def reference_flow(F: FrameVectorField, p, t, tol: float = 1e-12) -> np.ndarray:
     """
     if tol < 1e-13:
         raise ValueError("tolerance below supported floor 1e-13")
+    # Imported here: scipy.integrate costs most of the package's import time.
+    from scipy.integrate import solve_ivp
+
     frame = F.frame
     base = np.asarray(p, dtype=float)
     if t == 0:

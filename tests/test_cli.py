@@ -182,6 +182,15 @@ def test_experiment_validates_grid(capsys):
     assert "error:" in err
 
 
+def test_experiment_numeric_error_exits_2(capsys):
+    # Steps this long leave the exponential chart of the step image.
+    code, out, err = run(capsys, "experiment", "volume",
+                         "--t-min", "10", "--t-max", "300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_experiment_order_kind(capsys):
     code, out, _ = run(
         capsys,

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from postlie.algebroid import parse_element
+from postlie.cli import main as cli_main
 from postlie.geomint import (
     AnalyticCoeff,
     ConfigurationError,
@@ -153,6 +156,94 @@ def test_numeric_coeff_matches_analytic(frame):
     assert fd.derive(0).derive(1).value(p) == pytest.approx(
         an.derive(0).derive(1).value(p), rel=1e-6, abs=1e-7
     )
+
+
+def textbook_derive(frame, fn, i):
+    """The two-level stencil of ``NumericCoeff.derive`` with fresh shifts."""
+    ex = frame.exp_map
+    e = frame.basis[i]
+
+    def stencil(Q, h):
+        return (-fn(Q @ ex(2 * h * e)) + 8 * fn(Q @ ex(h * e))
+                - 8 * fn(Q @ ex(-h * e)) + fn(Q @ ex(-2 * h * e))) / (12 * h)
+
+    return lambda Q: (16 * stencil(Q, 1e-4 / 2) - stencil(Q, 1e-4)) / 15
+
+
+def test_numeric_coeff_equals_textbook_stencil(frame):
+    poly = MatrixPoly.entry(3, 2, 0) * MatrixPoly.entry(3, 2, 2)
+    fd = NumericCoeff(frame, poly.value)
+    p = rot(7, np.longdouble)
+    for i in range(3):
+        first = textbook_derive(frame, poly.value, i)
+        assert fd.derive(i).value(p) == first(p)
+        for j in range(3):
+            second = textbook_derive(frame, first, j)
+            assert fd.derive(i).derive(j).value(p) == second(p)
+
+
+def test_numeric_coeff_memo_never_stale(frame):
+    poly = MatrixPoly.entry(3, 2, 0) * MatrixPoly.entry(3, 1, 2)
+    base = NumericCoeff(frame, poly.value)
+    d1 = textbook_derive(frame, poly.value, 1)
+    coeffs = (
+        (base, poly.value),
+        (base.derive(1), d1),
+        (base.derive(1).mul(base).add(base.scale(3)),
+         lambda Q: d1(Q) * poly.value(Q) + 3.0 * poly.value(Q)),
+    )
+    p, q = rot(11, np.longdouble), rot(12, np.longdouble)
+    for c, fresh in coeffs:
+        for point in (p, q, p, q, p):
+            assert c.value(point) == fresh(point)
+        moving = p.copy()
+        assert c.value(moving) == fresh(p)
+        moving[...] = q
+        assert c.value(moving) == fresh(q)
+    # Object arrays bypass the memo: their bytes are pointers.
+    exact = np.full((3, 3), Fraction(1, 3), dtype=object)
+    assert base.value(exact) == Fraction(1, 9)
+    exact[1, 2] = Fraction(1, 2)
+    assert base.value(exact) == Fraction(1, 6)
+
+
+def test_numeric_coeff_memo_under_threads(frame):
+    poly = MatrixPoly.entry(3, 0, 1) * MatrixPoly.entry(3, 2, 2)
+    c = NumericCoeff(frame, poly.value).mul(NumericCoeff.entry(frame, 1, 0))
+    points = [rot(seed, np.longdouble) for seed in range(6)]
+    want = [poly.value(P) * P[1, 0] for P in points]
+    wrong = []
+
+    def work(k):
+        for n in range(2000):
+            m = (k + n) % len(points)
+            if c.value(points[m]) != want[m]:
+                wrong.append(m)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+
+
+def test_fd_volume_experiment_thread_determinism(capsys):
+    argv = ["experiment", "volume", "--method", "aromatic", "--derivatives", "fd",
+            "--t-min", "1e-2", "--t-max", "1e-1", "--t-points", "5", "--seed", "2"]
+    outs = []
+    for threads in ("1", "2"):
+        assert cli_main(argv + ["--threads", threads]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    # The header echoes the thread count; the table must not depend on it.
+    assert outs[0][1:] == outs[1][1:]
+    assert len(outs[0]) == 2 + 5 + 1
 
 
 # -- the frozen field
