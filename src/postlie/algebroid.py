@@ -21,27 +21,35 @@ The structure maps:
                     defined by the triangular recursion that makes
                     sum concat-free splittings  x1 * S(x2)  collapse to
                     the counit.
+* ``word_action``   the action of a combination of pure words on a bare
+                    coefficient (what a forest does to a scalar function,
+                    expressed in free derivations).
 * ``theta``         the gl antipode twisted onto coefficient-carrying
-                    elements through the module action.
-* ``module_action`` the action of words on bare coefficients (what a
-                    forest does to a scalar function, expressed in free
-                    derivations).
-* ``lu_action``     the same action read off through counit . triangle.
+                    elements through ``word_action``.
 
-The triangle recursion on a word x X (first letter x, rest X) is
+On pure words, triangle and the gl product are integer kernels
+(``_triangle_words``, ``_gl_words``).  The triangle recursion on a word
+x X (first letter x, rest X) is
 
-    (x X) > y  =  x > (X > y)  -  (x > X) > y
+    (x X) > v  =  x > (X > v)  -  (x > X) > v
 
-with single trees acting by  x > (g . v) = derive(x, g) . v + g . (x > v)
-and grafting letterwise into v.  Both recursions strictly reduce the
-left grade, so they terminate; pure-word cases are memoised.
+with single trees grafting letterwise into v.  It strictly reduces the
+left grade, so it terminates; the kernels are memoised on pure words
+only.  Coefficients enter through the smash-product factorisation
+
+    (f . w) > (g . v)  =  sum  f . (w1 -> g) . (w2 > v)
+    (f . w) * (g . v)  =  sum  f . (w1 -> g) . (w2 * v)
+
+over unshuffle splittings of w, where w1 -> g is ``word_action``.  A
+non-empty word kills constants, so pure terms take the kernel alone.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .coeffs import CoeffPoly, Scalar
 from .trees import (
@@ -167,10 +175,6 @@ class AlgebroidElement:
             f.is_homogeneous(k - w.grade) for w, f in self.terms.items()
         )
 
-    def is_pure(self) -> bool:
-        """True when every coefficient is a rational constant."""
-        return all(f.is_constant() for f in self.terms.values())
-
     # -- comparison and display
 
     def __eq__(self, other: object) -> bool:
@@ -197,9 +201,6 @@ class AlgebroidElement:
 
     def __repr__(self) -> str:
         return f"AlgebroidElement<{self}>"
-
-
-ZERO_ELEMENT = AlgebroidElement.zero()
 
 
 def _accumulate(acc: dict[Forest, CoeffPoly], w: Forest, f: CoeffPoly) -> None:
@@ -405,54 +406,42 @@ def _triangle_words(w: Forest, v: Forest) -> dict[Forest, int]:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
-def _triangle_term(w: Forest, v: Forest, g: CoeffPoly) -> AlgebroidElement:
-    """w > (g . v) for a pure word w."""
-    if g.is_constant():
-        c = g.constant_value()
-        if not c:
-            return ZERO_ELEMENT
-        return AlgebroidElement._raw(
-            {u: CoeffPoly.scalar(m * c)
-             for u, m in _triangle_words(w, v).items()})
-    if not w.trees:
-        return AlgebroidElement({v: g})
-    if len(w) == 1:
-        x = w.trees[0]
-        acc: dict[Forest, CoeffPoly] = {}
-        dg = g.derive(x)
-        if not dg.is_zero():
-            acc[v] = dg
-        for u, m in graft_into_forest(x, v).items():
-            _accumulate(acc, u, g.scale(m))
-        return AlgebroidElement(acc)
-    x = single(w.trees[0])
-    rest = Forest(w.trees[1:])
+def _smash(a: AlgebroidElement, b: AlgebroidElement,
+           kernel: Callable[[Forest, Forest], dict[Forest, int]]) -> AlgebroidElement:
+    """The smash-product shape shared by ``triangle`` and ``gl_product``:
+
+        (f . w) op (g . v)  =  sum  f . (w1 -> g) . kernel(w2, v)
+
+    over unshuffle splittings of w, with ``kernel`` the pure-word form of
+    the operation.  A non-empty word kills constants, so a constant g
+    takes the empty split alone: one kernel lookup and no splitting.
+    """
     acc: dict[Forest, CoeffPoly] = {}
-    for u, h in _triangle_term(rest, v, g).terms.items():
-        for z, p in _triangle_term(x, u, h).terms.items():
-            _accumulate(acc, z, p)
-    for u, m in graft_into_forest(w.trees[0], rest).items():
-        for z, p in _triangle_term(u, v, g).terms.items():
-            _accumulate(acc, z, p.scale(-m))
+    for w, f in a.terms.items():
+        for v, g in b.terms.items():
+            _guard(w.grade + v.grade + g.degree())
+            if g.is_constant():
+                legs = [(g, w)]
+            else:
+                act = _Derivatives(g).act
+                legs = [(act({w1: mult}), w2) for w1, w2, mult in word_splits(w)]
+            for h, w2 in legs:
+                if h.is_zero():
+                    continue
+                p = f * h
+                for u, m in kernel(w2, v).items():
+                    _accumulate(acc, u, p.scale(m))
     return AlgebroidElement._raw(acc)
 
 
 def triangle(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
     """The grafting action a > b.
 
-    Left coefficients factor out; the pure word then acts on each term of
-    b by grafting into letters and deriving the coefficient.
+    Left coefficients factor out; the left word acts on a right term
+    g . v through the smash factorisation  w > (g . v) = sum
+    (w1 -> g) . (w2 > v).
     """
-    acc: dict[Forest, CoeffPoly] = {}
-    for w, f in a.terms.items():
-        for v, g in b.terms.items():
-            _guard(w.grade + v.grade + g.degree())
-            for u, p in _triangle_term(w, v, g).terms.items():
-                q = f * p
-                if not q.is_zero():
-                    _accumulate(acc, u, q)
-    return AlgebroidElement._raw(acc)
+    return _smash(a, b, _triangle_words)
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +462,9 @@ def _gl_words(w: Forest, v: Forest) -> dict[Forest, int]:
 
 
 def gl_product(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
-    """x * y = sum over splittings  concat(x1, triangle(x2, y))."""
-    acc: dict[Forest, CoeffPoly] = {}
-    b_pure = b.is_pure()
-    for w, f in a.terms.items():
-        if b_pure and f.is_constant():
-            c = f.constant_value()
-            for v, g in b.terms.items():
-                cg = c * g.constant_value()
-                for u, m in _gl_words(w, v).items():
-                    _accumulate(acc, u, CoeffPoly.scalar(m * cg))
-            continue
-        for w1, w2, mult in word_splits(w):
-            for v, g in b.terms.items():
-                _guard(w2.grade + v.grade + g.degree())
-                for u, p in _triangle_term(w2, v, g).terms.items():
-                    q = (f * p).scale(mult)
-                    if not q.is_zero():
-                        _accumulate(acc, w1 + u, q)
-    return AlgebroidElement._raw(acc)
+    """x * y = sum over splittings  concat(x1, triangle(x2, y)), computed as
+    (f . w) * (g . v) = sum  f . (w1 -> g) . (w2 * v)."""
+    return _smash(a, b, _gl_words)
 
 
 @functools.lru_cache(maxsize=None)
@@ -525,6 +498,7 @@ def gl_antipode(a: AlgebroidElement) -> AlgebroidElement:
     for w, f in a.terms.items():
         if not f.is_constant():
             raise ValueError("gl_antipode is defined on pure elements; use theta")
+        _guard(w.grade)
         c = f.constant_value()
         for v, m in gl_antipode_word(w).items():
             _accumulate(acc, v, CoeffPoly.scalar(m * c))
@@ -558,43 +532,47 @@ def _kmap(w: Forest) -> tuple[tuple[Fraction, tuple[PlanarTree, ...]], ...]:
         key=lambda it: tuple(t.sort_key for t in it[1])))
 
 
-def _apply_derivation_sequence(f: CoeffPoly, seq: tuple[PlanarTree, ...]) -> CoeffPoly:
-    for t in seq:
-        f = f.derive(t)
-        if f.is_zero():
-            break
-    return f
+class _Derivatives:
+    """One coefficient and its derivatives along tree sequences.
 
+    Each prefix is derived once per table: the ``_kmap`` sequences of a
+    word's sub-words share most of their prefixes.
+    """
 
-def module_action(x: AlgebroidElement, f: CoeffPoly) -> CoeffPoly:
-    """x -> f: words act through free derivations, coefficients of x
-    multiply the result."""
-    total = CoeffPoly.zero()
-    for w, g in x.terms.items():
-        acc = CoeffPoly.zero()
-        for c, seq in _kmap(w):
-            h = _apply_derivation_sequence(f, seq)
+    __slots__ = ("table",)
+
+    def __init__(self, f: CoeffPoly):
+        self.table: dict[tuple[PlanarTree, ...], CoeffPoly] = {(): f}
+
+    def along(self, seq: tuple[PlanarTree, ...]) -> CoeffPoly:
+        """f derived along seq, applied left to right."""
+        h = self.table.get(seq)
+        if h is None:
+            h = self.along(seq[:-1])
             if not h.is_zero():
-                acc = acc + h.scale(c)
-        if not acc.is_zero():
-            total = total + g * acc
-    return total
+                h = h.derive(seq[-1])
+            self.table[seq] = h
+        return h
+
+    def act(self, d: Mapping[Forest, Scalar]) -> CoeffPoly:
+        """d -> f; a non-empty word kills constants, so only the empty
+        word acts on one."""
+        constant = self.table[()].is_constant()
+        total = CoeffPoly.zero()
+        for w, k in d.items():
+            if constant and w.trees:
+                continue
+            for c, seq in _kmap(w):
+                h = self.along(seq)
+                if not h.is_zero():
+                    total = total + h.scale(c * k)
+        return total
 
 
-def _word_dict_action(d: dict[Forest, int], f: CoeffPoly) -> CoeffPoly:
-    """Action of an integer combination of pure words on a coefficient."""
-    total = CoeffPoly.zero()
-    for w, k in d.items():
-        for c, seq in _kmap(w):
-            h = _apply_derivation_sequence(f, seq)
-            if not h.is_zero():
-                total = total + h.scale(c * k)
-    return total
-
-
-def lu_action(x: AlgebroidElement, f: CoeffPoly) -> CoeffPoly:
-    """The induced action on coefficients, read off as counit(x > iota(f))."""
-    return counit(triangle(x, AlgebroidElement.iota(f)))
+def word_action(d: Mapping[Forest, Scalar], f: CoeffPoly) -> CoeffPoly:
+    """d -> f: the action of a rational combination of pure words on a
+    coefficient, through the derivation sequences of ``_kmap``."""
+    return _Derivatives(f).act(d)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +589,10 @@ def theta(a: AlgebroidElement) -> AlgebroidElement:
     """
     acc: dict[Forest, CoeffPoly] = {}
     for w, f in a.terms.items():
+        _guard(w.grade + f.degree())
+        act = _Derivatives(f).act
         for w1, w2, mult in word_splits(w):
-            coeff = _word_dict_action(gl_antipode_word(w1), f)
+            coeff = act(gl_antipode_word(w1))
             if coeff.is_zero():
                 continue
             coeff = coeff.scale(mult)
@@ -622,11 +602,12 @@ def theta(a: AlgebroidElement) -> AlgebroidElement:
 
 
 # ---------------------------------------------------------------------------
-# Convenience used by several test suites
+# Text input
 
 
-def elements_equal(a: AlgebroidElement, b: AlgebroidElement) -> bool:
-    return a == b
+#: A leading coefficient ends at a '*', spaces around it optional, or at
+#: whitespace.
+_COEFF_END = re.compile(r"\s*\*\s*|\s+")
 
 
 def parse_element(text: str) -> AlgebroidElement:
@@ -644,8 +625,8 @@ def parse_element(text: str) -> AlgebroidElement:
             raise ValueError("empty summand")
         coeff = Fraction(1)
         body = chunk
-        head = chunk.split(None, 1)
-        if head and _looks_rational(head[0]):
+        head = _COEFF_END.split(chunk, 1)
+        if _looks_rational(head[0]):
             coeff = Fraction(head[0])
             body = head[1] if len(head) > 1 else "1"
         body = body.replace("*", " ").strip()

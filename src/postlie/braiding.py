@@ -34,12 +34,12 @@ from .algebroid import (
     _gl_words,
     _guard,
     _triangle_words,
-    _word_dict_action,
     counit,
     gl_antipode_word,
     gl_product,
     theta,
     triangle,
+    word_action,
     word_splits,
     word_triples,
 )
@@ -188,7 +188,7 @@ def reduce_pairs(
     for a, b in pairs:
         for w, c in a.terms.items():
             for w1, w2, m in word_splits(w):
-                g = _word_dict_action(gl_antipode_word(w2), c)
+                g = word_action(gl_antipode_word(w2), c)
                 if g.is_zero():
                     continue
                 g = g.scale(m)

@@ -30,10 +30,9 @@ from .algebroid import (
     counit,
     gl_antipode,
     gl_product,
-    lu_action,
-    module_action,
     theta,
     triangle,
+    word_action,
     word_splits,
 )
 from .coeffs import AromaGenerator, CoeffPoly
@@ -478,7 +477,7 @@ def suite_smash(max_grade: int = 3, samples: int = 200, seed: int = 0) -> list[C
                          AlgebroidElement.from_forest(wb, g))
         rhs = AlgebroidElement.zero()
         for a1, a2, m in word_splits(wa):
-            coeff = module_action(AlgebroidElement.from_forest(a1), g)
+            coeff = word_action({a1: 1}, g)
             part = gl_product(AlgebroidElement.from_forest(a2),
                               AlgebroidElement.from_forest(wb))
             rhs = rhs + part.scale(f * coeff).scale(m)

@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--suite", required=True, choices=SUITE_NAMES)
     chk.add_argument("--max-grade", type=int, default=None)
     chk.add_argument("--samples", type=int, default=None)
-    chk.add_argument("--threads", type=int, default=None)
 
     series = sub.add_parser("series", help="truncated flow series")
     ssub = series.add_subparsers(dest="action", required=True)

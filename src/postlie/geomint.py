@@ -820,11 +820,6 @@ def make_aromatic_stepper(F: FrameVectorField, order: int = 3):
     return step
 
 
-def aromatic_lie_euler_step(F: FrameVectorField, p, t, order: int = 3) -> np.ndarray:
-    """One step of the preprocessed geodesic method."""
-    return make_aromatic_stepper(F, order)(p, t)
-
-
 def make_stepper(method: str, F: FrameVectorField, order: int = 3):
     if method == "lie-euler":
         return lambda p, t: lie_euler_step(F, p, t)

@@ -30,6 +30,10 @@ DEFAULT_MAX_GRADE = 6
 #: touch.  Generous; it exists to fail loudly instead of thrashing.
 MAX_OPERATION_GRADE = 64
 
+#: Ceiling on bracket nesting in parsed text.  Each node caches its own
+#: encoding, so a chain of depth d holds about d * d characters.
+MAX_PARSE_DEPTH = 4096
+
 
 class ParseError(ValueError):
     """Malformed tree or forest text.  ``offset`` points at the bad byte."""
@@ -157,22 +161,34 @@ def single(tree: PlanarTree) -> Forest:
 
 
 def _parse_tree_at(text: str, i: int) -> tuple[PlanarTree, int]:
-    if i >= len(text):
-        raise ParseError("unexpected end of input", i)
-    c = text[i]
-    if c == "o":
-        return LEAF, i + 1
-    if c == "[":
+    """Parse one tree starting at offset i; return it and the next offset.
+
+    Iterative, so nesting depth does not touch the call stack.  A node's
+    size and encoding are computed as it closes, from children that hold
+    theirs already, so reading them later does not recurse either.
+    """
+    open_children: list[list[PlanarTree]] = []
+    while True:
+        if i >= len(text):
+            raise ParseError("unclosed '['" if open_children
+                             else "unexpected end of input", i)
+        c = text[i]
         i += 1
-        children = []
-        while True:
-            if i >= len(text):
-                raise ParseError("unclosed '['", i)
-            if text[i] == "]":
-                return PlanarTree(tuple(children)), i + 1
-            child, i = _parse_tree_at(text, i)
-            children.append(child)
-    raise ParseError(f"expected 'o' or '[', got {c!r}", i)
+        if c == "[":
+            if len(open_children) == MAX_PARSE_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_PARSE_DEPTH}", i - 1)
+            open_children.append([])
+            continue
+        if c == "o":
+            tree = LEAF
+        elif c == "]" and open_children:
+            tree = PlanarTree(tuple(open_children.pop()))
+            tree.size, tree.encoding  # cache both bottom-up
+        else:
+            raise ParseError(f"expected 'o' or '[', got {c!r}", i - 1)
+        if not open_children:
+            return tree, i
+        open_children[-1].append(tree)
 
 
 def parse_tree(text: str) -> PlanarTree:

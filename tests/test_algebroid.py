@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,17 +13,16 @@ from postlie.algebroid import (
     concat_mul,
     coproduct,
     counit,
-    elements_equal,
     gl_antipode,
     gl_product,
-    lu_action,
-    module_action,
     parse_element,
     theta,
     triangle,
+    word_action,
     word_splits,
     word_triples,
 )
+from postlie.checks import _dress, basis_tuples, random_element
 from postlie.coeffs import AromaGenerator, CoeffPoly
 from postlie.trees import (
     CapacityError,
@@ -30,7 +30,9 @@ from postlie.trees import (
     Forest,
     LEAF,
     enumerate_forests,
+    graft_into_forest,
     parse_forest,
+    single,
 )
 
 
@@ -40,6 +42,7 @@ def el(text: str) -> AlgebroidElement:
 
 ONE = AlgebroidElement.from_forest(EMPTY_FOREST)
 O = el("o")
+O_WORD = parse_forest("o")
 G = CoeffPoly.generator("g")
 
 
@@ -49,12 +52,16 @@ G = CoeffPoly.generator("g")
 def test_parse_dump_round_trip():
     x = el("2/3 [o] o + -1 o + 5 1")
     assert parse_element(x.dump().replace("\n", " + ").replace(" | ", " ")) == x
+    # The coefficient may be followed by '*', with or without spaces.
+    for text in ("2/3*[o] o", "2/3 *[o] o", "2/3* [o] o", "2/3 * [o] o"):
+        assert el(text) == el("2/3 [o] o")
+    assert el("-1*o + 5*1") == el("-1 o + 5 1")
 
 
 def test_zero_and_scale():
     assert el("o").scale(0) == AlgebroidElement.zero()
     assert el("o").scale(Fraction(1, 2)) + el("1/2 o") == el("o")
-    assert elements_equal(el("o + o"), el("2 o"))
+    assert el("o + o") == el("2 o")
 
 
 def test_iota_counit():
@@ -64,8 +71,9 @@ def test_iota_counit():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_element("o + + o")
+    for text in ("o + + o", "2/3*", "2/3 * x"):
+        with pytest.raises(ValueError):
+            parse_element(text)
 
 
 # -- concatenation algebra
@@ -218,24 +226,25 @@ def test_gl_antipode_is_involutive_small():
 # -- coefficient actions
 
 
+def _words(x: AlgebroidElement) -> dict:
+    """A pure element as a rational combination of words."""
+    return {w: f.constant_value() for w, f in x.terms.items()}
+
+
 def test_module_action_values():
-    assert module_action(O, G) == CoeffPoly.generator(AromaGenerator("g", (LEAF,)))
+    assert word_action({O_WORD: 1}, G) == CoeffPoly.generator(AromaGenerator("g", (LEAF,)))
     t = parse_forest("[o]").trees[0]
-    assert module_action(AlgebroidElement.from_tree(t), G) == CoeffPoly.generator(
+    assert word_action({single(t): 1}, G) == CoeffPoly.generator(
         AromaGenerator("g", (t,))
     )
     # Two-letter words pick up a correction from the grafted bracket.
-    got = module_action(el("o o"), G)
+    got = word_action({parse_forest("o o"): 1}, G)
     want = CoeffPoly.generator(AromaGenerator("g", (LEAF, LEAF))) - CoeffPoly.generator(
         AromaGenerator("g", (t,))
     )
     assert got == want
-
-
-def test_module_action_matches_lu_action():
-    for w in enumerate_forests(3):
-        x = AlgebroidElement.from_forest(w)
-        assert module_action(x, G) == lu_action(x, G)
+    # Non-empty words kill constants; the empty word scales.
+    assert word_action({O_WORD: 1, EMPTY_FOREST: 3}, CoeffPoly.scalar(2)) == CoeffPoly.scalar(6)
 
 
 def test_module_action_leibniz_over_gl():
@@ -244,9 +253,70 @@ def test_module_action_leibniz_over_gl():
         for v in enumerate_forests(2):
             x = AlgebroidElement.from_forest(w)
             y = AlgebroidElement.from_forest(v)
-            assert module_action(gl_product(x, y), G * h) == module_action(
-                x, module_action(y, G * h)
+            assert word_action(_words(gl_product(x, y)), G * h) == word_action(
+                {w: 1}, word_action({v: 1}, G * h)
             )
+
+
+# -- independent reference for the coefficient path
+
+
+def _ref_word(w: Forest, y: AlgebroidElement) -> AlgebroidElement:
+    """w > y by the plain uncached recursion
+
+        (x X) > y  =  x > (X > y)  -  (x > X) > y,
+        x > (g . v)  =  derive(x, g) . v  +  g . (x > v),
+
+    with a single tree grafting letterwise into v."""
+    if not w.trees:
+        return y
+    x = w.trees[0]
+    if len(w) == 1:
+        out = AlgebroidElement.zero()
+        for v, g in y.terms.items():
+            out = out + AlgebroidElement.from_forest(v, g.derive(x))
+            for u, m in graft_into_forest(x, v).items():
+                out = out + AlgebroidElement.from_forest(u, g.scale(m))
+        return out
+    rest = Forest(w.trees[1:])
+    out = _ref_word(single(x), _ref_word(rest, y))
+    for u, m in graft_into_forest(x, rest).items():
+        out = out - _ref_word(u, y).scale(m)
+    return out
+
+
+def _ref_triangle(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
+    out = AlgebroidElement.zero()
+    for w, f in a.terms.items():
+        out = out + _ref_word(w, b).scale(f)
+    return out
+
+
+def _ref_gl(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
+    out = AlgebroidElement.zero()
+    for w, f in a.terms.items():
+        for w1, w2, m in word_splits(w):
+            out = out + concat_mul(AlgebroidElement.from_forest(w1, f.scale(m)),
+                                   _ref_word(w2, b))
+    return out
+
+
+def test_coefficient_path_matches_reference():
+    rng = random.Random(5)
+    cases = [(_dress(rng, w, True), _dress(rng, v, True))
+             for w, v in basis_tuples(3, 2)]
+    for i in range(150):
+        cases.append(tuple(random_element(rng, 3, coeffs=(i + k) % 3 != 0)
+                           for k in range(2)))
+    words = enumerate_forests(3)
+    cases += [(AlgebroidElement.from_forest(w), AlgebroidElement.iota(G)) for w in words]
+    for x, y in cases:
+        assert triangle(x, y) == _ref_triangle(x, y)
+        assert gl_product(x, y) == _ref_gl(x, y)
+    for w in words:
+        x = AlgebroidElement.from_forest(w)
+        assert word_action({w: 1}, G) == counit(_ref_triangle(x, AlgebroidElement.iota(G)))
+        assert word_action({w: 1}, G) == counit(triangle(x, AlgebroidElement.iota(G)))
 
 
 # -- theta

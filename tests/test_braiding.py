@@ -58,7 +58,7 @@ def test_braiding_preserves_multiplication():
 
 def test_reduce_pairs_move_identity():
     # f . x and its moved form are the same balanced tensor.
-    from postlie.algebroid import gl_antipode, gl_product, module_action, word_splits
+    from postlie.algebroid import gl_antipode_word, gl_product, word_action, word_splits
 
     f = CoeffPoly.generator("g")
     x = AlgebroidElement.from_forest(parse_forest("o o"), f)
@@ -67,7 +67,7 @@ def test_reduce_pairs_move_identity():
     # Move the coefficient across by hand: f . w = sum w1 * iota(S(w2) -> f).
     moved = []
     for w1, w2, m in word_splits(parse_forest("o o")):
-        g = module_action(gl_antipode(AlgebroidElement.from_forest(w2)), f)
+        g = word_action(gl_antipode_word(w2), f)
         left = gl_product(
             AlgebroidElement.from_forest(w1, CoeffPoly.scalar(m)),
             AlgebroidElement.iota(g),

@@ -76,6 +76,23 @@ def test_algebra_eval_parse_error(capsys):
     assert "error:" in err
 
 
+def test_algebra_eval_deep_nesting(capsys):
+    deep = "[" * 1200 + "o" + "]" * 1200
+    code, out, err = run(capsys, "algebra", "eval", "--op", "theta", "--left", deep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "algebra", "eval", "--op", "concat",
+                       "--left", deep, "--right", "o")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"1 | {deep} o"]
+    too_deep = "[" * 5000 + "o" + "]" * 5000
+    code, out, err = run(capsys, "algebra", "eval", "--op", "concat",
+                         "--left", too_deep, "--right", "o")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_algebra_check_suite(capsys):
     code, out, _ = run(
         capsys,
@@ -102,6 +119,13 @@ def test_algebra_check_braiding(capsys):
 def test_algebra_check_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["algebra", "check", "--suite", "nonsense"])
+
+
+def test_algebra_check_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "check", "--suite", "smash", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 # -- series

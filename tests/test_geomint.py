@@ -21,7 +21,6 @@ from postlie.geomint import (
     MatrixPoly,
     NumericCoeff,
     NumericError,
-    aromatic_lie_euler_step,
     connection,
     divergence,
     divergence_free_field,
@@ -30,6 +29,7 @@ from postlie.geomint import (
     geometric_grid,
     jacobi_bracket_fd,
     lie_euler_step,
+    make_aromatic_stepper,
     make_field,
     make_reference_stepper,
     make_stepper,
@@ -352,7 +352,7 @@ def test_steppers_stay_on_group(field):
 
 def test_aromatic_step_close_to_plain(field):
     p = rot(18, np.longdouble)
-    a = aromatic_lie_euler_step(field, p, 1e-3)
+    a = make_aromatic_stepper(field, 3)(p, 1e-3)
     b = lie_euler_step(field, p, 1e-3)
     assert np.max(np.abs(np.asarray(a - b, float))) < 1e-5
 
