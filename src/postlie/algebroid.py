@@ -609,6 +609,11 @@ def theta(a: AlgebroidElement) -> AlgebroidElement:
 #: whitespace.
 _COEFF_END = re.compile(r"\s*\*\s*|\s+")
 
+#: Coefficient spellings: an optional minus, then digits over an optional
+#: nonzero denominator, or a plain decimal.  No exponents: ``Fraction``
+#: would build all the digits of "1e99999999" before anything could fail.
+_COEFF = re.compile(r"-?([0-9]+(/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
 
 def parse_element(text: str) -> AlgebroidElement:
     """Parse ``forest`` or ``coeff forest`` sums separated by '+'.
@@ -626,17 +631,9 @@ def parse_element(text: str) -> AlgebroidElement:
         coeff = Fraction(1)
         body = chunk
         head = _COEFF_END.split(chunk, 1)
-        if _looks_rational(head[0]):
+        if _COEFF.fullmatch(head[0]):
             coeff = Fraction(head[0])
             body = head[1] if len(head) > 1 else "1"
         body = body.replace("*", " ").strip()
         out = out + AlgebroidElement.from_forest(parse_forest(body), coeff)
     return out
-
-
-def _looks_rational(tok: str) -> bool:
-    try:
-        Fraction(tok)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False

@@ -36,7 +36,8 @@ from .algebroid import (
     word_splits,
 )
 from .coeffs import AromaGenerator, CoeffPoly
-from .trees import EMPTY_FOREST, Forest, forests_of_grade, trees_of_size
+from .trees import (DEFAULT_MAX_GRADE, EMPTY_FOREST, CapacityError, Forest,
+                    forests_of_grade, trees_of_size)
 
 
 @dataclass
@@ -126,7 +127,15 @@ def random_element(rng: random.Random, max_grade: int, coeffs: bool = True) -> A
 
 
 def basis_tuples(total_grade: int, arity: int) -> Iterator[tuple[Forest, ...]]:
-    """All tuples of basis forests whose grades sum to <= total_grade."""
+    """All tuples of basis forests whose grades sum to <= total_grade.
+
+    Raises ``CapacityError`` at once when total_grade exceeds
+    ``DEFAULT_MAX_GRADE``, the bound forest enumeration enforces; every
+    suite starts by building its basis tuples, so this bounds them all.
+    """
+    if total_grade > DEFAULT_MAX_GRADE:
+        raise CapacityError(f"max_grade {total_grade} exceeds bound {DEFAULT_MAX_GRADE}")
+
     def rec(remaining: int, slots: int):
         if slots == 0:
             yield ()
@@ -135,7 +144,7 @@ def basis_tuples(total_grade: int, arity: int) -> Iterator[tuple[Forest, ...]]:
             for w in forests_of_grade(g):
                 for rest in rec(remaining - g, slots - 1):
                     yield (w,) + rest
-    yield from rec(total_grade, arity)
+    return rec(total_grade, arity)
 
 
 def _dress(rng: random.Random, w: Forest, coeffs: bool) -> AlgebroidElement:

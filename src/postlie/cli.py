@@ -159,8 +159,9 @@ def _cmd_algebra_eval(args) -> int:
         if args.right is not None:
             raise ConfigurationError(f"--op {args.op} takes no --right")
         result = UNARY_OPS[args.op](left)
+    text = result.dump()
     _emit(_header({"command": "algebra-eval", "op": args.op, "seed": seed}))
-    _emit(result.dump())
+    _emit(text)
     return 0
 
 
@@ -169,8 +170,7 @@ def _cmd_algebra_check(args) -> int:
     grade = _resolve(args, "max_grade", SUITE_GRADE[suite], int)
     samples = _resolve(args, "samples", SUITE_SAMPLES[suite], int)
     seed = _resolve(args, "seed", 0, int)
-    _emit(_header({"command": "algebra-check", "suite": suite,
-                   "max-grade": grade, "samples": samples, "seed": seed}))
+    # Run before printing anything, so a capacity error leaves stdout empty.
     if suite == "braiding":
         reports = check_braiding(max_grade=grade, samples=samples,
                                  sample_grade=grade + 1, seed=seed)
@@ -179,6 +179,8 @@ def _cmd_algebra_check(args) -> int:
     else:
         reports = SUITES[suite](max_grade=grade, samples=samples,
                                 sample_grade=grade + 1, seed=seed)
+    _emit(_header({"command": "algebra-check", "suite": suite,
+                   "max-grade": grade, "samples": samples, "seed": seed}))
     failed = 0
     for report in reports:
         _emit(report.line())
@@ -203,8 +205,9 @@ def _cmd_series(args) -> int:
         series = modified_field(method, order)
         head = {"command": "series-modified-field", "method": method,
                 "order": order, "seed": seed}
+    text = series.dump()
     _emit(_header(head))
-    _emit(series.dump())
+    _emit(text)
     return 0
 
 
@@ -239,6 +242,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse in Python 3.11 parses the explicit value of ``--left=--``
+        # as an empty list; every flag here takes exactly one value.
+        for key, val in vars(args).items():
+            if isinstance(val, list):
+                raise ConfigurationError(f"--{key.replace('_', '-')} needs a value")
         if getattr(args, "config", None):
             args._config_values = _load_config(args.config)
         if args.command == "trees":

@@ -37,14 +37,18 @@ The float pipeline for volume diagnostics runs in extended precision
 (``np.longdouble``) because the signals of interest sit near 1e-12.
 
 Finite-difference derivatives (``--derivatives fd``) nest stencils, so a
-depth-k derivative costs 8^k evaluations of its base callable.  Three
+depth-k derivative costs 8^k evaluations of its base callable.  Four
 exact savings keep that affordable without changing a single bit of
 the results: ``NumericCoeff`` reuses its eight shift matrices across
 every stencil, ``NumericCoeff.value`` keeps a one-point memo per
 coefficient (float arrays only, keyed on dtype, shape and bytes; object
-arrays always recompute), and ``MatrixPoly.value`` caches per dtype its
-cast coefficients and nonzero factors.  The memo holds one entry per
-coefficient, so memory stays constant however many points a run visits.
+arrays always recompute), ``MatrixPoly.value`` caches per dtype its
+cast coefficients and nonzero factors, and a word's tangent matrix is
+one operator chain on the matrix-valued point map Q -> Q, shared by all
+words, instead of one chain per matrix entry (stencils and products act
+elementwise, so each entry's arithmetic is unchanged).  The memo holds
+one entry per coefficient, so memory stays constant however many points
+a run visits.
 """
 
 from __future__ import annotations
@@ -464,6 +468,12 @@ class NumericCoeff:
     ``(key, value)`` pair, swapped in by a single assignment so threads
     share it safely, and it keys on the bytes of float arrays only (the
     bytes of an object array are pointers, so those always recompute).
+
+    The callable may return a scalar or an array; every operation here
+    acts elementwise, so an array-valued coefficient such as the point
+    map Q -> Q carries all its entries through one chain with the same
+    arithmetic per entry as a scalar chain for each.  A memoised array is
+    handed to every caller and must never be written to.
     """
 
     __slots__ = ("frame", "fn", "_dcache", "_memo")
@@ -546,8 +556,8 @@ class NumericCoeff:
 class FrameVectorField:
     """A vector field  sum_i f^i E_i  in a left-invariant frame."""
 
-    __slots__ = ("frame", "coeffs", "_tree_cache", "_entry_cache",
-                 "_aroma_cache")
+    __slots__ = ("frame", "coeffs", "_tree_cache", "_matrix_cache",
+                 "_aroma_cache", "_point_map")
 
     def __init__(self, frame: GroupFrame, coeffs: Iterable):
         self.frame = frame
@@ -555,8 +565,9 @@ class FrameVectorField:
         if len(self.coeffs) != frame.dim:
             raise ValueError("one coefficient per frame direction")
         self._tree_cache: dict[PlanarTree, "FrameVectorField"] = {}
-        self._entry_cache: dict[Forest, tuple] = {}
+        self._matrix_cache: dict[Forest, Callable] = {}
         self._aroma_cache: dict[AromaGenerator, object] = {}
+        self._point_map: NumericCoeff | None = None
 
     def values(self, Q) -> np.ndarray:
         A = np.asarray(Q)
@@ -728,18 +739,46 @@ def coeff_poly_value(c: CoeffPoly, F: FrameVectorField, Q):
     return total
 
 
-def _entry_operator_fns(F: FrameVectorField, w: Forest,
-                        max_grade: int = EVAL_MAX_GRADE) -> tuple:
-    cached = F._entry_cache.get(w)
-    if cached is not None:
-        return cached
-    n = F.frame.basis[0].shape[0]
-    analytic = isinstance(F.coeffs[0], AnalyticCoeff)
-    make = AnalyticCoeff.entry if analytic else NumericCoeff.entry
-    ops = tuple(tuple(forest_operator_fn(w, F, make(F.frame, a, b), max_grade)
-                      for b in range(n)) for a in range(n))
-    F._entry_cache[w] = ops
-    return ops
+def _word_matrix_fn(F: FrameVectorField, w: Forest,
+                    max_grade: int = EVAL_MAX_GRADE) -> Callable:
+    """The word operator of ``w`` applied to the point map, as A -> n x n.
+
+    Finite-difference fields run one operator chain on the matrix-valued
+    point map.  Stencils, sums and products act elementwise, so every
+    entry sees the same operations in the same order as a chain built on
+    that entry alone, while the shifted points, stencils and letter
+    coefficient products run once instead of n*n times.  All words share
+    one point map, so a derivative of it along a given direction sequence
+    is evaluated once per point however many words reach it.  Analytic
+    fields keep one exact polynomial per entry: a single polynomial over
+    all entries would sum in another order.
+
+    The callable returns a fresh array in the dtype of A; the memoised
+    matrix behind it is shared by every caller and is never written.
+    """
+    fn = F._matrix_cache.get(w)
+    if fn is not None:
+        return fn
+    frame = F.frame
+    if isinstance(F.coeffs[0], AnalyticCoeff):
+        n = frame.basis[0].shape[0]
+        grid = tuple(tuple(forest_operator_fn(w, F, AnalyticCoeff.entry(frame, a, b),
+                                              max_grade)
+                           for b in range(n)) for a in range(n))
+
+        def fn(A):
+            return np.array([[op.value(A) for op in row] for row in grid],
+                            dtype=A.dtype)
+    else:
+        if F._point_map is None:
+            # A copy, so no memo ever aliases the caller's point.
+            F._point_map = NumericCoeff(frame, lambda Q: np.array(Q))
+        op = forest_operator_fn(w, F, F._point_map, max_grade)
+
+        def fn(A):
+            return np.array(op.value(A), dtype=A.dtype)
+    F._matrix_cache[w] = fn
+    return fn
 
 
 def element_tangent_matrix(x: AlgebroidElement, F: FrameVectorField, Q,
@@ -750,14 +789,10 @@ def element_tangent_matrix(x: AlgebroidElement, F: FrameVectorField, Q,
     tangent matrix at Q; coefficients evaluate through ``coeff_poly_value``.
     """
     A = np.asarray(Q)
-    n = A.shape[0]
     out = np.zeros_like(A)
     for w, c in sorted(x.terms.items()):
         cv = coeff_poly_value(c, F, A)
-        ops = _entry_operator_fns(F, w, max_grade)
-        vals = np.array([[ops[a][b].value(A) for b in range(n)] for a in range(n)],
-                        dtype=A.dtype)
-        out = out + cv * vals
+        out = out + cv * _word_matrix_fn(F, w, max_grade)(A)
     return out
 
 

@@ -71,7 +71,7 @@ def test_iota_counit():
 
 
 def test_parse_rejects_garbage():
-    for text in ("o + + o", "2/3*", "2/3 * x"):
+    for text in ("o + + o", "2/3*", "2/3 * x", "1e99999999 o", "1e999999 o"):
         with pytest.raises(ValueError):
             parse_element(text)
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from postlie.cli import main
+from postlie.cli import BINARY_OPS, UNARY_OPS, main
 
 
 def run(capsys, *argv):
@@ -126,6 +129,45 @@ def test_algebra_check_has_no_threads_flag(capsys):
         main(["algebra", "check", "--suite", "smash", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+# Text from the characters of elements, numbers and exponents.  Short,
+# because operation cost grows fast with grade; the property is about
+# parsing and exit codes, not capacity.
+ELEMENT_TEXT = st.text(alphabet="o[] 0123456789/*+-.e", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=st.sampled_from(sorted(BINARY_OPS) + sorted(UNARY_OPS)),
+       left=ELEMENT_TEXT, right=st.none() | ELEMENT_TEXT)
+@example(op="theta", left="1e99999999 o", right=None)
+@example(op="theta", left="1e999999 o", right=None)
+@example(op="gl", left="--", right="5")
+def test_algebra_eval_exit_contract(op, left, right):
+    # ``--left=TEXT`` keeps argparse from reading a leading '-' as a flag.
+    argv = ["algebra", "eval", "--op", op, f"--left={left}"]
+    if right is not None:
+        argv.append(f"--right={right}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("algebra", "check", "--suite", "gl", "--max-grade", "9"),
+    ("algebra", "check", "--suite", "braiding", "--max-grade", "7"),
+    ("series", "gl-exp", "--order", "12"),
+    ("series", "modified-field", "--method", "lie-euler", "--order", "11"),
+])
+def test_capacity_bounds_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # -- series

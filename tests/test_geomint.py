@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from postlie.algebroid import parse_element
+from postlie.algebroid import AlgebroidElement, parse_element
 from postlie.cli import main as cli_main
 from postlie.geomint import (
     AnalyticCoeff,
@@ -24,8 +24,10 @@ from postlie.geomint import (
     connection,
     divergence,
     divergence_free_field,
+    _aromatic_series,
     element_tangent_matrix,
     eval_tree,
+    forest_operator_fn,
     geometric_grid,
     jacobi_bracket_fd,
     lie_euler_step,
@@ -41,7 +43,7 @@ from postlie.geomint import (
     step_volume,
     torsion_bracket,
 )
-from postlie.trees import parse_tree
+from postlie.trees import parse_forest, parse_tree
 
 
 def rot(seed: int, dtype=float) -> np.ndarray:
@@ -329,6 +331,25 @@ def test_element_tangent_matrix_of_vertex(field):
     p = rot(15)
     M = element_tangent_matrix(parse_element("o"), field, p)
     assert np.max(np.abs(np.asarray(M - field.tangent(p), float))) < 1e-15
+
+
+@pytest.mark.parametrize("derivatives", ["fd", "analytic"])
+def test_word_matrix_equals_entry_grid(frame, derivatives):
+    """A word's tangent matrix equals, bit for bit, the grid of per-entry
+    word operators: one chain on the point map for fd, exact polynomials
+    per entry for analytic."""
+    F = divergence_free_field(frame, derivatives)
+    entry = NumericCoeff.entry if derivatives == "fd" else AnalyticCoeff.entry
+    words = {w for _, x in _aromatic_series(3) for w in x.terms}
+    words.add(parse_forest("o [o] o"))
+    points = (rot(21, np.longdouble), rot(22, np.longdouble))
+    for w in sorted(words):
+        for p in points:
+            want = np.array([[forest_operator_fn(w, F, entry(frame, a, b)).value(p)
+                              for b in range(3)] for a in range(3)], dtype=p.dtype)
+            got = element_tangent_matrix(AlgebroidElement.from_forest(w), F, p)
+            assert got.dtype == p.dtype
+            assert np.array_equal(got, want), str(w)
 
 
 # -- steppers and flows
