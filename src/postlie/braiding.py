@@ -43,7 +43,7 @@ from .algebroid import (
     word_splits,
     word_triples,
 )
-from .checks import CheckReport, _run, basis_tuples, random_element, random_poly
+from .checks import CheckReport, _run_suite, basis_tuples, random_element, random_poly
 from .coeffs import CoeffPoly
 from .trees import Forest
 
@@ -347,15 +347,14 @@ def check_braiding(max_grade: int = 3, samples: int = 200,
         for _ in range(samples)
     ]
 
-    reports = [
-        _run("braiding", "a", pairs, _coproduct_compatible, max_grade, seed),
-        _run("braiding", "b", pairs, _multiplication_preserved, max_grade, seed),
-        _run("braiding", "c", triples, _left_product_rule, max_grade, seed),
-        _run("braiding", "d", triples, _right_product_rule, max_grade, seed),
-        _run("braiding", "e", singles, _unit_left, max_grade, seed),
-        _run("braiding", "f", singles, _unit_right, max_grade, seed),
-        _run("braiding", "counit-lemma", pairs, _counit_lemma, max_grade, seed),
-        _run("braiding", "bimodule-left", dressed, _bimodule_left, max_grade, seed),
-        _run("braiding", "bimodule-right", dressed, _bimodule_right, max_grade, seed),
-    ]
-    return reports
+    return _run_suite("braiding", [
+        ("a", pairs, _coproduct_compatible),
+        ("b", pairs, _multiplication_preserved),
+        ("c", triples, _left_product_rule),
+        ("d", triples, _right_product_rule),
+        ("e", singles, _unit_left),
+        ("f", singles, _unit_right),
+        ("counit-lemma", pairs, _counit_lemma),
+        ("bimodule-left", dressed, _bimodule_left),
+        ("bimodule-right", dressed, _bimodule_right),
+    ], max_grade, seed)

@@ -1,24 +1,29 @@
 """Identity suites for the algebroid structure.
 
-Each suite runs one family of identities, exhaustively on small basis
-data and on seeded random samples, and returns one ``CheckReport`` per
-identity.  The command line front end prints these; the test suite
-asserts on them.  Keeping them here means CI can run every suite without
-going through the CLI.
+Each identity is written once, as a module-level predicate on the
+operands of one case.  A suite is a list of ``(axiom, cases, predicate)``
+rows run in order by ``_run_suite``, exhaustively on small basis data and
+on seeded random samples, with one ``CheckReport`` per row.  ``SUITES``
+names all six suites, the braiding suite of :mod:`postlie.braiding`
+included.  The command line front end prints their reports; the test
+suite asserts on them.  Keeping them here means CI can run every suite
+without going through the CLI.
 
 Conventions: "exhaustive up to grade G" ranges over tuples of basis
 forests whose *total* grade is at most G (the bound controls problem
-size, so it applies to the whole operand tuple).  Exhaustive operands
-are dressed with random coefficient polynomials where the identity
-involves coefficients.
+size, so it applies to the whole operand tuple).  The random samples of
+this module's suites bound each operand's grade on its own, not the
+tuple's: every slot of a sampled case is ``random_element(rng,
+sample_grade)``.  Exhaustive operands are dressed with random
+coefficient polynomials where the identity involves coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebroid import (
@@ -152,24 +157,31 @@ def _dress(rng: random.Random, w: Forest, coeffs: bool) -> AlgebroidElement:
     return AlgebroidElement.from_forest(w, c)
 
 
-def _run(
-    suite: str,
-    axiom: str,
-    cases: Iterable[tuple],
-    check: Callable[..., bool],
-    max_grade: int,
-    seed: int,
-) -> CheckReport:
-    n = 0
-    failures = 0
-    witness = None
-    for case in cases:
-        n += 1
-        if not check(*case):
-            failures += 1
-            if witness is None:
-                witness = ";".join(str(c) for c in case)
-    return CheckReport(suite, axiom, n, failures, max_grade, seed, witness)
+#: One identity of a suite: its name, its cases, and the predicate that
+#: says whether the identity holds on the operands of one case.
+Row = tuple[str, Iterable[tuple], Callable[..., bool]]
+
+
+def _run_suite(suite: str, rows: Sequence[Row], max_grade: int,
+               seed: int) -> list[CheckReport]:
+    """Run each row's predicate over its cases, row by row, in order.
+
+    A row's cases may be a generator: it is drawn from only when its row
+    runs, after every earlier predicate has taken its own draws.
+    """
+    reports = []
+    for axiom, cases, check in rows:
+        n = 0
+        failures = 0
+        witness = None
+        for case in cases:
+            n += 1
+            if not check(*case):
+                failures += 1
+                if witness is None:
+                    witness = ";".join(str(c) for c in case)
+        reports.append(CheckReport(suite, axiom, n, failures, max_grade, seed, witness))
+    return reports
 
 
 def _mixed_cases(
@@ -200,279 +212,288 @@ def sweedler_pairs(x: AlgebroidElement):
                    AlgebroidElement.from_forest(w2))
 
 
+
+
 # ---------------------------------------------------------------------------
-# Suite: weak post-Hopf axioms of the triangle action
+# Identities.  Each is written once and named after the axiom it checks;
+# the ones that draw a random coefficient take the suite's generator first.
+
+
+def coproduct_respects(op, x: AlgebroidElement, y: AlgebroidElement) -> bool:
+    """coproduct(op(x, y)) = sum op(x1, y1) (x) op(x2, y2)."""
+    lhs = coproduct(op(x, y))
+    rhs = TensorElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        for y1, y2 in sweedler_pairs(y):
+            rhs = rhs + TensorElement.of(op(x1, y1), op(x2, y2))
+    return lhs == rhs
+
+
+def action_on_unit(x):
+    return triangle(x, AlgebroidElement.unit()) == AlgebroidElement.iota(counit(x))
+
+
+def unit_acts_trivially(x):
+    return triangle(AlgebroidElement.unit(), x) == x
+
+
+def counit_of_action(x, y):
+    return (triangle(x, AlgebroidElement.iota(counit(y)))
+            == AlgebroidElement.iota(counit(triangle(x, y))))
+
+
+def left_coefficients_factor(rng, x, y):
+    f = random_poly(rng)
+    return triangle(x.scale(f), y) == triangle(x, y).scale(f)
+
+
+def action_on_product(x, y, z):
+    lhs = triangle(x, concat_mul(y, z))
+    rhs = AlgebroidElement.zero()
+    for (x1, x2), c in coproduct(x).terms.items():
+        rhs = rhs + concat_mul(
+            triangle(AlgebroidElement.from_forest(x1), y),
+            triangle(AlgebroidElement.from_forest(x2), z)).scale(c)
+    return lhs == rhs
+
+
+def action_composition(x, y, z):
+    """x > (y > z) = sum (x1 * (x2 > y)) > z."""
+    lhs = triangle(x, triangle(y, z))
+    rhs = AlgebroidElement.zero()
+    for (x1, x2), c in coproduct(x).terms.items():
+        inner = concat_mul(
+            AlgebroidElement.from_forest(x1),
+            triangle(AlgebroidElement.from_forest(x2), y))
+        rhs = rhs + triangle(inner, z).scale(c)
+    return lhs == rhs
+
+
+def action_lands_in_scalars(rng, x):
+    f = random_poly(rng)
+    v = triangle(x, AlgebroidElement.iota(f))
+    return v == AlgebroidElement.iota(counit(v))
+
+
+def scalars_act_by_multiplication(rng, x):
+    f = random_poly(rng)
+    return triangle(AlgebroidElement.iota(f), x) == x.scale(f)
+
+
+def associativity(x, y, z):
+    return gl_product(gl_product(x, y), z) == gl_product(x, gl_product(y, z))
+
+
+def gl_unit(x):
+    return (gl_product(AlgebroidElement.unit(), x) == x
+            and gl_product(x, AlgebroidElement.unit()) == x)
+
+
+def counit_laws(x):
+    lhs = AlgebroidElement.zero()
+    rhs = AlgebroidElement.zero()
+    for (x1, x2), c in coproduct(x).terms.items():
+        lhs = lhs + AlgebroidElement.from_forest(x2).scale(
+            c * counit(AlgebroidElement.from_forest(x1)))
+        rhs = rhs + AlgebroidElement.from_forest(x1).scale(
+            c * counit(AlgebroidElement.from_forest(x2)))
+    return lhs == x and rhs == x
+
+
+def counit_of_product(x, y):
+    return counit(gl_product(x, y)) == counit(
+        gl_product(x, AlgebroidElement.iota(counit(y))))
+
+
+def action_is_module(x, y, z):
+    """(x * y) > z = x > (y > z)."""
+    return triangle(gl_product(x, y), z) == triangle(x, triangle(y, z))
+
+
+def right_inverse(x):
+    total = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        total = total + gl_product(x1, theta(x2))
+    return total == AlgebroidElement.iota(counit(x))
+
+
+def left_inverse(x):
+    total = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        total = total + gl_product(theta(x1), x2)
+    return total == AlgebroidElement.iota(counit(theta(x)))
+
+
+def anti_automorphism(x, y):
+    return theta(gl_product(x, y)) == gl_product(theta(y), theta(x))
+
+
+def involution(x):
+    return theta(theta(x)) == x
+
+
+def theta_coproduct_compatible(x):
+    lhs = coproduct(theta(x))
+    rhs = TensorElement.zero()
+    for (x1, x2), c in coproduct(x).terms.items():
+        rhs = rhs + TensorElement.of(
+            theta(AlgebroidElement.from_forest(x1, c)),
+            theta(AlgebroidElement.from_forest(x2)))
+    return lhs == rhs
+
+
+def coefficient_twist(rng, x):
+    """theta(f x) = sum (theta(x1) > iota(f)) theta(x2)."""
+    f = random_poly(rng)
+    lhs = theta(x.scale(f))
+    rhs = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        rhs = rhs + concat_mul(
+            triangle(theta(x1), AlgebroidElement.iota(f)), theta(x2))
+    return lhs == rhs
+
+
+def concat_antipode_identity(x):
+    lhs = antipode_concat(x)
+    rhs = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        rhs = rhs + triangle(x1, theta(x2))
+    return lhs == rhs
+
+
+def recovers_from_concat_antipode(x):
+    lhs = theta(x)
+    rhs = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        rhs = rhs + triangle(theta(x1), antipode_concat(x2))
+    return lhs == rhs
+
+
+def counit_of_theta(x):
+    lhs = AlgebroidElement.iota(counit(theta(x)))
+    rhs = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        rhs = rhs + triangle(theta(x1), AlgebroidElement.iota(counit(x2)))
+    return lhs == rhs
+
+
+def concat_product_recovery(x, y):
+    lhs = concat_mul(x, y)
+    rhs = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        rhs = rhs + gl_product(x1, triangle(theta(x2), y))
+    return lhs == rhs
+
+
+def counit_recovery(x):
+    rhs = AlgebroidElement.zero()
+    for x1, x2 in sweedler_pairs(x):
+        rhs = rhs + gl_product(x1, AlgebroidElement.iota(counit(theta(x2))))
+    return rhs == x
+
+
+def theta_fixes(x):
+    return theta(x) == x
+
+
+def gl_factors_through_coefficient_action(wa, wb, f, g):
+    lhs = gl_product(AlgebroidElement.from_forest(wa, f),
+                     AlgebroidElement.from_forest(wb, g))
+    rhs = AlgebroidElement.zero()
+    for a1, a2, m in word_splits(wa):
+        coeff = word_action({a1: 1}, g)
+        part = gl_product(AlgebroidElement.from_forest(a2),
+                          AlgebroidElement.from_forest(wb))
+        rhs = rhs + part.scale(f * coeff).scale(m)
+    return lhs == rhs
+
+
+def antipode_commutes_with_action(x, y):
+    return antipode_concat(triangle(x, y)) == triangle(x, antipode_concat(y))
+
+
+def theta_is_gl_antipode(x):
+    return theta(x) == gl_antipode(x)
+
+
+def concat_antipode_law(x):
+    total = AlgebroidElement.zero()
+    for (x1, x2), c in coproduct(x).terms.items():
+        total = total + concat_mul(
+            antipode_concat(AlgebroidElement.from_forest(x1)),
+            AlgebroidElement.from_forest(x2)).scale(c)
+    return total == AlgebroidElement.iota(counit(x))
+
+
+# ---------------------------------------------------------------------------
+# Suites.  Each default is a suite's acceptance-gate size; ``algebra check``
+# reads its defaults from these signatures.
 
 
 def suite_axioms(max_grade: int = 3, samples: int = 200, sample_grade: int = 4,
                  seed: int = 0) -> list[CheckReport]:
+    """Weak post-Hopf axioms of the triangle action."""
     rng = random.Random(seed)
     pairs = _mixed_cases(rng, 2, max_grade, samples, sample_grade)
     triples = _mixed_cases(rng, 3, max_grade, samples, sample_grade)
     singles = _mixed_cases(rng, 1, max_grade, samples, sample_grade)
-    reports = []
-
-    def coproduct_of_action(x, y):
-        lhs = coproduct(triangle(x, y))
-        rhs = TensorElement.zero()
-        for x1, x2 in sweedler_pairs(x):
-            for y1, y2 in sweedler_pairs(y):
-                rhs = rhs + TensorElement.of(triangle(x1, y1), triangle(x2, y2))
-        return lhs == rhs
-
-    reports.append(_run("axioms", "coproduct-of-action", pairs,
-                        coproduct_of_action, max_grade, seed))
-
-    reports.append(_run("axioms", "action-on-unit", singles,
-                        lambda x: triangle(x, AlgebroidElement.unit())
-                        == AlgebroidElement.iota(counit(x)),
-                        max_grade, seed))
-
-    reports.append(_run("axioms", "unit-acts-trivially", singles,
-                        lambda x: triangle(AlgebroidElement.unit(), x) == x,
-                        max_grade, seed))
-
-    reports.append(_run("axioms", "counit-of-action", pairs,
-                        lambda x, y: triangle(x, AlgebroidElement.iota(counit(y)))
-                        == AlgebroidElement.iota(counit(triangle(x, y))),
-                        max_grade, seed))
-
-    def coeff_factors_left(x, y):
-        f = random_poly(rng)
-        return triangle(x.scale(f), y) == triangle(x, y).scale(f)
-
-    reports.append(_run("axioms", "left-coefficients-factor", pairs,
-                        coeff_factors_left, max_grade, seed))
-
-    def action_on_product(x, y, z):
-        lhs = triangle(x, concat_mul(y, z))
-        rhs = AlgebroidElement.zero()
-        for (x1, x2), c in coproduct(x).terms.items():
-            rhs = rhs + concat_mul(
-                triangle(AlgebroidElement.from_forest(x1), y),
-                triangle(AlgebroidElement.from_forest(x2), z)).scale(c)
-        return lhs == rhs
-
-    reports.append(_run("axioms", "action-on-product", triples,
-                        action_on_product, max_grade, seed))
-
-    def action_composition(x, y, z):
-        lhs = triangle(x, triangle(y, z))
-        rhs = AlgebroidElement.zero()
-        for (x1, x2), c in coproduct(x).terms.items():
-            inner = concat_mul(
-                AlgebroidElement.from_forest(x1),
-                triangle(AlgebroidElement.from_forest(x2), y))
-            rhs = rhs + triangle(inner, z).scale(c)
-        return lhs == rhs
-
-    reports.append(_run("axioms", "action-composition", triples,
-                        action_composition, max_grade, seed))
-
-    def action_into_scalars(x):
-        f = random_poly(rng)
-        v = triangle(x, AlgebroidElement.iota(f))
-        return v == AlgebroidElement.iota(counit(v))
-
-    reports.append(_run("axioms", "action-lands-in-scalars", singles,
-                        action_into_scalars, max_grade, seed))
-
-    def scalars_act_by_multiplication(x):
-        f = random_poly(rng)
-        return triangle(AlgebroidElement.iota(f), x) == x.scale(f)
-
-    reports.append(_run("axioms", "scalars-act-by-multiplication", singles,
-                        scalars_act_by_multiplication, max_grade, seed))
-
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Suite: Grossman-Larson structure
+    return _run_suite("axioms", [
+        ("coproduct-of-action", pairs, partial(coproduct_respects, triangle)),
+        ("action-on-unit", singles, action_on_unit),
+        ("unit-acts-trivially", singles, unit_acts_trivially),
+        ("counit-of-action", pairs, counit_of_action),
+        ("left-coefficients-factor", pairs, partial(left_coefficients_factor, rng)),
+        ("action-on-product", triples, action_on_product),
+        ("action-composition", triples, action_composition),
+        ("action-lands-in-scalars", singles, partial(action_lands_in_scalars, rng)),
+        ("scalars-act-by-multiplication", singles,
+         partial(scalars_act_by_multiplication, rng)),
+    ], max_grade, seed)
 
 
 def suite_gl(max_grade: int = 4, samples: int = 200, sample_grade: int = 4,
              seed: int = 0) -> list[CheckReport]:
+    """Grossman-Larson structure."""
     rng = random.Random(seed)
     pairs = _mixed_cases(rng, 2, max_grade, samples, sample_grade)
     triples = _mixed_cases(rng, 3, max_grade, samples // 2, sample_grade)
     singles = _mixed_cases(rng, 1, max_grade, samples, sample_grade)
-    reports = []
-
-    reports.append(_run("gl", "associativity", triples,
-                        lambda x, y, z: gl_product(gl_product(x, y), z)
-                        == gl_product(x, gl_product(y, z)),
-                        max_grade, seed))
-
-    reports.append(_run("gl", "unit", singles,
-                        lambda x: gl_product(AlgebroidElement.unit(), x) == x
-                        and gl_product(x, AlgebroidElement.unit()) == x,
-                        max_grade, seed))
-
-    def coproduct_multiplicative(x, y):
-        lhs = coproduct(gl_product(x, y))
-        rhs = TensorElement.zero()
-        for x1, x2 in sweedler_pairs(x):
-            for y1, y2 in sweedler_pairs(y):
-                rhs = rhs + TensorElement.of(gl_product(x1, y1), gl_product(x2, y2))
-        return lhs == rhs
-
-    reports.append(_run("gl", "coproduct-multiplicative", pairs,
-                        coproduct_multiplicative, max_grade, seed))
-
-    def counit_law(x):
-        lhs = AlgebroidElement.zero()
-        rhs = AlgebroidElement.zero()
-        for (x1, x2), c in coproduct(x).terms.items():
-            lhs = lhs + AlgebroidElement.from_forest(x2).scale(
-                c * counit(AlgebroidElement.from_forest(x1)))
-            rhs = rhs + AlgebroidElement.from_forest(x1).scale(
-                c * counit(AlgebroidElement.from_forest(x2)))
-        return lhs == x and rhs == x
-
-    reports.append(_run("gl", "counit-laws", singles, counit_law, max_grade, seed))
-
-    def counit_of_product(x, y):
-        return counit(gl_product(x, y)) == counit(
-            gl_product(x, AlgebroidElement.iota(counit(y))))
-
-    reports.append(_run("gl", "counit-of-product", pairs,
-                        counit_of_product, max_grade, seed))
-
-    def module_composition(x, y, z):
-        return triangle(gl_product(x, y), z) == triangle(x, triangle(y, z))
-
-    reports.append(_run("gl", "action-is-module", triples,
-                        module_composition, max_grade, seed))
-
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Suite: theta (the twisted antipode)
+    return _run_suite("gl", [
+        ("associativity", triples, associativity),
+        ("unit", singles, gl_unit),
+        ("coproduct-multiplicative", pairs, partial(coproduct_respects, gl_product)),
+        ("counit-laws", singles, counit_laws),
+        ("counit-of-product", pairs, counit_of_product),
+        ("action-is-module", triples, action_is_module),
+    ], max_grade, seed)
 
 
 def suite_theta(max_grade: int = 3, samples: int = 100, sample_grade: int = 3,
                 seed: int = 0) -> list[CheckReport]:
+    """theta, the twisted antipode."""
     rng = random.Random(seed)
     pairs = _mixed_cases(rng, 2, max_grade, samples, sample_grade)
     singles = _mixed_cases(rng, 1, max_grade, samples, sample_grade)
-    reports = []
-
-    as_splits = sweedler_pairs
-
-    def right_inverse(x):
-        total = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            total = total + gl_product(x1, theta(x2))
-        return total == AlgebroidElement.iota(counit(x))
-
-    reports.append(_run("theta", "right-inverse", singles, right_inverse,
-                        max_grade, seed))
-
-    def left_inverse(x):
-        total = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            total = total + gl_product(theta(x1), x2)
-        return total == AlgebroidElement.iota(counit(theta(x)))
-
-    reports.append(_run("theta", "left-inverse", singles, left_inverse,
-                        max_grade, seed))
-
-    reports.append(_run("theta", "anti-automorphism", pairs,
-                        lambda x, y: theta(gl_product(x, y))
-                        == gl_product(theta(y), theta(x)),
-                        max_grade, seed))
-
-    reports.append(_run("theta", "involution", singles,
-                        lambda x: theta(theta(x)) == x, max_grade, seed))
-
-    def coproduct_compat(x):
-        lhs = coproduct(theta(x))
-        rhs = TensorElement.zero()
-        for (x1, x2), c in coproduct(x).terms.items():
-            rhs = rhs + TensorElement.of(
-                theta(AlgebroidElement.from_forest(x1, c)),
-                theta(AlgebroidElement.from_forest(x2)))
-        return lhs == rhs
-
-    reports.append(_run("theta", "coproduct-compatible", singles,
-                        coproduct_compat, max_grade, seed))
-
-    def scalar_twist(x):
-        # theta(f x) = sum (theta(x1) > iota(f)) theta(x2)
-        f = random_poly(rng)
-        lhs = theta(x.scale(f))
-        rhs = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            rhs = rhs + concat_mul(
-                triangle(theta(x1), AlgebroidElement.iota(f)), theta(x2))
-        return lhs == rhs
-
-    reports.append(_run("theta", "coefficient-twist", singles, scalar_twist,
-                        max_grade, seed))
-
-    def antipode_from_theta(x):
-        lhs = antipode_concat(x)
-        rhs = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            rhs = rhs + triangle(x1, theta(x2))
-        return lhs == rhs
-
-    reports.append(_run("theta", "concat-antipode-identity", singles,
-                        antipode_from_theta, max_grade, seed))
-
-    def theta_from_antipode(x):
-        lhs = theta(x)
-        rhs = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            rhs = rhs + triangle(theta(x1), antipode_concat(x2))
-        return lhs == rhs
-
-    reports.append(_run("theta", "recovers-from-concat-antipode", singles,
-                        theta_from_antipode, max_grade, seed))
-
-    def counit_of_theta(x):
-        lhs = AlgebroidElement.iota(counit(theta(x)))
-        rhs = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            rhs = rhs + triangle(theta(x1), AlgebroidElement.iota(counit(x2)))
-        return lhs == rhs
-
-    reports.append(_run("theta", "counit-of-theta", singles, counit_of_theta,
-                        max_grade, seed))
-
-    def product_recovery(x, y):
-        lhs = concat_mul(x, y)
-        rhs = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            rhs = rhs + gl_product(x1, triangle(theta(x2), y))
-        return lhs == rhs
-
-    reports.append(_run("theta", "concat-product-recovery", pairs,
-                        product_recovery, max_grade, seed))
-
-    def counit_recovery(x):
-        rhs = AlgebroidElement.zero()
-        for x1, x2 in as_splits(x):
-            rhs = rhs + gl_product(x1, AlgebroidElement.iota(counit(theta(x2))))
-        return rhs == x
-
-    reports.append(_run("theta", "counit-recovery", singles, counit_recovery,
-                        max_grade, seed))
-
-    reports.append(_run("theta", "fixes-scalars", [
-        (AlgebroidElement.iota(random_poly(rng)),) for _ in range(50)
-    ], lambda x: theta(x) == x, max_grade, seed))
-
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Suite: smash-product shape of the gl product
+    # Drawn lazily, after coefficient-twist has taken its draws.
+    scalars = ((AlgebroidElement.iota(random_poly(rng)),) for _ in range(50))
+    return _run_suite("theta", [
+        ("right-inverse", singles, right_inverse),
+        ("left-inverse", singles, left_inverse),
+        ("anti-automorphism", pairs, anti_automorphism),
+        ("involution", singles, involution),
+        ("coproduct-compatible", singles, theta_coproduct_compatible),
+        ("coefficient-twist", singles, partial(coefficient_twist, rng)),
+        ("concat-antipode-identity", singles, concat_antipode_identity),
+        ("recovers-from-concat-antipode", singles, recovers_from_concat_antipode),
+        ("counit-of-theta", singles, counit_of_theta),
+        ("concat-product-recovery", pairs, concat_product_recovery),
+        ("counit-recovery", singles, counit_recovery),
+        ("fixes-scalars", scalars, theta_fixes),
+    ], max_grade, seed)
 
 
 def suite_smash(max_grade: int = 3, samples: int = 200, seed: int = 0) -> list[CheckReport]:
+    """Smash-product shape of the gl product, on words and coefficients."""
     rng = random.Random(seed)
     cases = []
     for wa, wb in basis_tuples(max_grade, 2):
@@ -480,95 +501,40 @@ def suite_smash(max_grade: int = 3, samples: int = 200, seed: int = 0) -> list[C
     for _ in range(samples):
         cases.append((random_forest(rng, max_grade), random_forest(rng, max_grade),
                       random_poly(rng), random_poly(rng)))
-
-    def smash(wa, wb, f, g):
-        lhs = gl_product(AlgebroidElement.from_forest(wa, f),
-                         AlgebroidElement.from_forest(wb, g))
-        rhs = AlgebroidElement.zero()
-        for a1, a2, m in word_splits(wa):
-            coeff = word_action({a1: 1}, g)
-            part = gl_product(AlgebroidElement.from_forest(a2),
-                              AlgebroidElement.from_forest(wb))
-            rhs = rhs + part.scale(f * coeff).scale(m)
-        return lhs == rhs
-
-    return [_run("smash", "gl-factors-through-coefficient-action", cases,
-                 smash, max_grade, seed)]
-
-
-# ---------------------------------------------------------------------------
-# Suite: degenerate coefficients (all derivations vanish)
+    return _run_suite("smash", [
+        ("gl-factors-through-coefficient-action", cases,
+         gl_factors_through_coefficient_action),
+    ], max_grade, seed)
 
 
 def suite_degenerate(max_grade: int = 5, samples: int = 100, seed: int = 0) -> list[CheckReport]:
+    """Degenerate coefficients (all derivations vanish): rational scalars
+    only, samples up to max_grade."""
     rng = random.Random(seed)
     pairs = _mixed_cases(rng, 2, max_grade, samples, max_grade, coeffs=False)
     triples = _mixed_cases(rng, 3, max_grade, samples, max_grade, coeffs=False)
     singles = _mixed_cases(rng, 1, max_grade, samples, max_grade, coeffs=False)
-    reports = []
-
-    reports.append(_run("degenerate", "action-on-unit", singles,
-                        lambda x: triangle(x, AlgebroidElement.unit())
-                        == AlgebroidElement.iota(counit(x)),
-                        max_grade, seed))
-
-    reports.append(_run("degenerate", "unit-acts-trivially", singles,
-                        lambda x: triangle(AlgebroidElement.unit(), x) == x,
-                        max_grade, seed))
-
-    def action_on_product(x, y, z):
-        lhs = triangle(x, concat_mul(y, z))
-        rhs = AlgebroidElement.zero()
-        for (x1, x2), c in coproduct(x).terms.items():
-            rhs = rhs + concat_mul(
-                triangle(AlgebroidElement.from_forest(x1), y),
-                triangle(AlgebroidElement.from_forest(x2), z)).scale(c)
-        return lhs == rhs
-
-    reports.append(_run("degenerate", "action-on-product", triples,
-                        action_on_product, max_grade, seed))
-
-    def action_composition(x, y, z):
-        lhs = triangle(x, triangle(y, z))
-        return lhs == triangle(gl_product(x, y), z)
-
-    reports.append(_run("degenerate", "action-composition", triples,
-                        action_composition, max_grade, seed))
-
-    def antipode_commutes(x, y):
-        return antipode_concat(triangle(x, y)) == triangle(x, antipode_concat(y))
-
-    reports.append(_run("degenerate", "antipode-commutes-with-action", pairs,
-                        antipode_commutes, max_grade, seed))
-
-    def theta_is_gl_antipode(x):
-        return theta(x) == gl_antipode(x)
-
-    reports.append(_run("degenerate", "theta-is-gl-antipode", singles,
-                        theta_is_gl_antipode, max_grade, seed))
-
-    def concat_hopf(x):
-        total = AlgebroidElement.zero()
-        for (x1, x2), c in coproduct(x).terms.items():
-            total = total + concat_mul(
-                antipode_concat(AlgebroidElement.from_forest(x1)),
-                AlgebroidElement.from_forest(x2)).scale(c)
-        return total == AlgebroidElement.iota(counit(x))
-
-    reports.append(_run("degenerate", "concat-antipode-law", singles,
-                        concat_hopf, max_grade, seed))
-
-    return reports
+    return _run_suite("degenerate", [
+        ("action-on-unit", singles, action_on_unit),
+        ("unit-acts-trivially", singles, unit_acts_trivially),
+        ("action-on-product", triples, action_on_product),
+        ("action-composition", triples, action_is_module),
+        ("antipode-commutes-with-action", pairs, antipode_commutes_with_action),
+        ("theta-is-gl-antipode", singles, theta_is_gl_antipode),
+        ("concat-antipode-law", singles, concat_antipode_law),
+    ], max_grade, seed)
 
 
-# ---------------------------------------------------------------------------
-# Dispatch used by the CLI
+# The braiding suite runs through ``_run_suite``, so it is imported only
+# now that this module is complete.
+from .braiding import check_braiding  # noqa: E402
 
-
+#: Every identity suite by name, as ``algebra check --suite`` takes it.
 SUITES: dict[str, Callable[..., list[CheckReport]]] = {
     "axioms": suite_axioms,
     "gl": suite_gl,
     "theta": suite_theta,
     "smash": suite_smash,
     "degenerate": suite_degenerate,
+    "braiding": check_braiding,
 }

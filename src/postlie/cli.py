@@ -20,25 +20,17 @@ flags override file values.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Sequence
 
 from .algebroid import (AlgebroidElement, concat_mul, gl_antipode, gl_product,
                         parse_element, theta, triangle)
-from .braiding import check_braiding
 from .checks import SUITES
 from .geomint import (ConfigurationError, ExperimentConfig, NumericError,
                       geometric_grid, run_experiment)
 from .series import exp_gl, field_series, modified_field
 from .trees import CapacityError, ParseError, enumerate_forests
-
-SUITE_NAMES = ("axioms", "gl", "theta", "smash", "degenerate", "braiding")
-
-# Per-suite depth defaults, matching the library suite defaults.
-SUITE_GRADE = {"axioms": 3, "gl": 4, "theta": 3, "smash": 3,
-               "degenerate": 5, "braiding": 3}
-SUITE_SAMPLES = {"axioms": 200, "gl": 200, "theta": 100, "smash": 200,
-                 "degenerate": 100, "braiding": 200}
 
 BINARY_OPS = {
     "gl": gl_product,
@@ -49,6 +41,10 @@ UNARY_OPS = {
     "theta": theta,
     "antipode": gl_antipode,
 }
+# Largest operand grade the unary ops take.  Their cost grows steeply with
+# grade: the slowest grade-9 words timed (o^9, o^7 [o]) take 2 to 4 s, and
+# grade-10 words such as o^10 or o^6 [o] [o] take 9 to 14 s.
+UNARY_MAX_GRADE = 9
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--left", required=True, help="element, e.g. 'o [o] + 2 [oo]'")
     ev.add_argument("--right", default=None)
     chk = asub.add_parser("check", parents=[common])
-    chk.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    chk.add_argument("--suite", required=True, choices=SUITES)
     chk.add_argument("--max-grade", type=int, default=None)
     chk.add_argument("--samples", type=int, default=None)
 
@@ -158,6 +154,9 @@ def _cmd_algebra_eval(args) -> int:
     else:
         if args.right is not None:
             raise ConfigurationError(f"--op {args.op} takes no --right")
+        if left.max_grade() > UNARY_MAX_GRADE:
+            raise CapacityError(f"--op {args.op} operand grade {left.max_grade()} "
+                                f"exceeds bound {UNARY_MAX_GRADE}")
         result = UNARY_OPS[args.op](left)
     text = result.dump()
     _emit(_header({"command": "algebra-eval", "op": args.op, "seed": seed}))
@@ -166,21 +165,19 @@ def _cmd_algebra_eval(args) -> int:
 
 
 def _cmd_algebra_check(args) -> int:
-    suite = args.suite
-    grade = _resolve(args, "max_grade", SUITE_GRADE[suite], int)
-    samples = _resolve(args, "samples", SUITE_SAMPLES[suite], int)
-    seed = _resolve(args, "seed", 0, int)
+    suite = SUITES[args.suite]
+    given = {}
+    for key in ("max_grade", "samples", "seed"):
+        val = _resolve(args, key, None, int)
+        if val is not None:
+            given[key] = val
     # Run before printing anything, so a capacity error leaves stdout empty.
-    if suite == "braiding":
-        reports = check_braiding(max_grade=grade, samples=samples,
-                                 sample_grade=grade + 1, seed=seed)
-    elif suite in ("smash", "degenerate"):
-        reports = SUITES[suite](max_grade=grade, samples=samples, seed=seed)
-    else:
-        reports = SUITES[suite](max_grade=grade, samples=samples,
-                                sample_grade=grade + 1, seed=seed)
-    _emit(_header({"command": "algebra-check", "suite": suite,
-                   "max-grade": grade, "samples": samples, "seed": seed}))
+    reports = suite(**given)
+    # Sizes not given are the suite's own defaults.
+    params = inspect.signature(suite).parameters
+    _emit(_header({"command": "algebra-check", "suite": args.suite,
+                   **{key.replace("_", "-"): given.get(key, params[key].default)
+                      for key in ("max_grade", "samples", "seed")}}))
     failed = 0
     for report in reports:
         _emit(report.line())

@@ -266,6 +266,3 @@ class CoeffPoly:
     def __repr__(self) -> str:
         return f"CoeffPoly({self})"
 
-
-def derive(tau: PlanarTree, f: CoeffPoly) -> CoeffPoly:
-    return f.derive(tau)

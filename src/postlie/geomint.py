@@ -79,6 +79,9 @@ class NumericError(RuntimeError):
 
 EVAL_MAX_GRADE = 5
 
+#: Series order of the preprocessed field the aromatic stepper follows.
+AROMATIC_ORDER = 3
+
 CSV_HEADER = "t,log_det,abs_err,method,field,seed"
 
 _FRAME_TOL = 1e-12
@@ -637,15 +640,14 @@ def divergence(F: FrameVectorField, p):
 # Evaluation of trees, words and aromas
 
 
-def _check_grade(grade: int, max_grade: int) -> None:
-    if grade > max_grade:
-        raise CapacityError(f"grade {grade} exceeds evaluation bound {max_grade}")
+def _check_grade(grade: int) -> None:
+    if grade > EVAL_MAX_GRADE:
+        raise CapacityError(f"grade {grade} exceeds evaluation bound {EVAL_MAX_GRADE}")
 
 
-def tree_field(tau: PlanarTree, F: FrameVectorField,
-               max_grade: int = EVAL_MAX_GRADE) -> FrameVectorField:
+def tree_field(tau: PlanarTree, F: FrameVectorField) -> FrameVectorField:
     """The vector field of a single tree over the generator field F."""
-    _check_grade(tau.size, max_grade)
+    _check_grade(tau.size)
     cached = F._tree_cache.get(tau)
     if cached is not None:
         return cached
@@ -655,24 +657,23 @@ def tree_field(tau: PlanarTree, F: FrameVectorField,
         word = Forest(tau.children)
         out = FrameVectorField(
             F.frame,
-            tuple(forest_operator_fn(word, F, c, max_grade) for c in F.coeffs))
+            tuple(forest_operator_fn(word, F, c) for c in F.coeffs))
     F._tree_cache[tau] = out
     return out
 
 
-def forest_operator_fn(omega: Forest, F: FrameVectorField, phi,
-                       max_grade: int = EVAL_MAX_GRADE):
+def forest_operator_fn(omega: Forest, F: FrameVectorField, phi):
     """The frozen word operator of ``omega`` applied to phi, as a function.
 
     Coefficients of every letter multiply outside the whole derivative
     nest, so products are taken only after all derivations; the leftmost
     letter contributes the outermost derivative.
     """
-    _check_grade(omega.grade, max_grade)
+    _check_grade(omega.grade)
     d = F.frame.dim
     terms = [(None, phi)]
     for t in reversed(omega.trees):
-        letter = tree_field(t, F, max_grade)
+        letter = tree_field(t, F)
         new = []
         for coeff, fn in terms:
             for i in range(d):
@@ -688,16 +689,14 @@ def forest_operator_fn(omega: Forest, F: FrameVectorField, phi,
     return phi.scale(0) if acc is None else acc
 
 
-def eval_tree(tau: PlanarTree, F: FrameVectorField, p,
-              max_grade: int = EVAL_MAX_GRADE) -> np.ndarray:
+def eval_tree(tau: PlanarTree, F: FrameVectorField, p) -> np.ndarray:
     """Tangent coefficients of the tree's elementary field at p."""
-    return tree_field(tau, F, max_grade).values(p)
+    return tree_field(tau, F).values(p)
 
 
-def eval_forest_op(omega: Forest, F: FrameVectorField, phi, p,
-                   max_grade: int = EVAL_MAX_GRADE):
+def eval_forest_op(omega: Forest, F: FrameVectorField, phi, p):
     """Value of the frozen word operator of ``omega`` on phi at p."""
-    return forest_operator_fn(omega, F, phi, max_grade).value(p)
+    return forest_operator_fn(omega, F, phi).value(p)
 
 
 def aroma_fn(gen: AromaGenerator, F: FrameVectorField):
@@ -739,8 +738,7 @@ def coeff_poly_value(c: CoeffPoly, F: FrameVectorField, Q):
     return total
 
 
-def _word_matrix_fn(F: FrameVectorField, w: Forest,
-                    max_grade: int = EVAL_MAX_GRADE) -> Callable:
+def _word_matrix_fn(F: FrameVectorField, w: Forest) -> Callable:
     """The word operator of ``w`` applied to the point map, as A -> n x n.
 
     Finite-difference fields run one operator chain on the matrix-valued
@@ -762,8 +760,7 @@ def _word_matrix_fn(F: FrameVectorField, w: Forest,
     frame = F.frame
     if isinstance(F.coeffs[0], AnalyticCoeff):
         n = frame.basis[0].shape[0]
-        grid = tuple(tuple(forest_operator_fn(w, F, AnalyticCoeff.entry(frame, a, b),
-                                              max_grade)
+        grid = tuple(tuple(forest_operator_fn(w, F, AnalyticCoeff.entry(frame, a, b))
                            for b in range(n)) for a in range(n))
 
         def fn(A):
@@ -773,7 +770,7 @@ def _word_matrix_fn(F: FrameVectorField, w: Forest,
         if F._point_map is None:
             # A copy, so no memo ever aliases the caller's point.
             F._point_map = NumericCoeff(frame, lambda Q: np.array(Q))
-        op = forest_operator_fn(w, F, F._point_map, max_grade)
+        op = forest_operator_fn(w, F, F._point_map)
 
         def fn(A):
             return np.array(op.value(A), dtype=A.dtype)
@@ -781,8 +778,7 @@ def _word_matrix_fn(F: FrameVectorField, w: Forest,
     return fn
 
 
-def element_tangent_matrix(x: AlgebroidElement, F: FrameVectorField, Q,
-                           max_grade: int = EVAL_MAX_GRADE) -> np.ndarray:
+def element_tangent_matrix(x: AlgebroidElement, F: FrameVectorField, Q) -> np.ndarray:
     """Word operators of an element applied entrywise to the point map.
 
     For a primitive element (a vector field) the result is the ambient
@@ -792,18 +788,17 @@ def element_tangent_matrix(x: AlgebroidElement, F: FrameVectorField, Q,
     out = np.zeros_like(A)
     for w, c in sorted(x.terms.items()):
         cv = coeff_poly_value(c, F, A)
-        out = out + cv * _word_matrix_fn(F, w, max_grade)(A)
+        out = out + cv * _word_matrix_fn(F, w)(A)
     return out
 
 
-def element_operator_value(x: AlgebroidElement, F: FrameVectorField, phi, Q,
-                           max_grade: int = EVAL_MAX_GRADE):
+def element_operator_value(x: AlgebroidElement, F: FrameVectorField, phi, Q):
     """Value at Q of the element acting on phi as a differential operator."""
     A = np.asarray(Q)
     total = None
     for w, c in sorted(x.terms.items()):
         cv = coeff_poly_value(c, F, A)
-        v = cv * forest_operator_fn(w, F, phi, max_grade).value(A)
+        v = cv * forest_operator_fn(w, F, phi).value(A)
         total = v if total is None else total + v
     if total is None:
         dt = A.dtype if A.dtype.kind == "f" else None
@@ -831,13 +826,13 @@ def _aromatic_series(order: int):
     return tuple(sorted(series.coeffs.items()))
 
 
-def make_aromatic_stepper(F: FrameVectorField, order: int = 3):
+def make_aromatic_stepper(F: FrameVectorField):
     """Geodesic stepper along the divergence-preprocessed field.
 
     Each series degree contributes t^k times the tangent matrix of its
     element; the skew part of the pulled-back sum is the step direction.
     """
-    pieces = _aromatic_series(order)
+    pieces = _aromatic_series(AROMATIC_ORDER)
 
     def step(p, t):
         A = np.asarray(p)
@@ -855,11 +850,11 @@ def make_aromatic_stepper(F: FrameVectorField, order: int = 3):
     return step
 
 
-def make_stepper(method: str, F: FrameVectorField, order: int = 3):
+def make_stepper(method: str, F: FrameVectorField):
     if method == "lie-euler":
         return lambda p, t: lie_euler_step(F, p, t)
     if method == "aromatic":
-        return make_aromatic_stepper(F, order)
+        return make_aromatic_stepper(F)
     raise ConfigurationError(f"unknown method {method!r}")
 
 
@@ -922,7 +917,7 @@ def reference_flow(F: FrameVectorField, p, t, tol: float = 1e-12) -> np.ndarray:
     return base
 
 
-def make_reference_stepper(F: FrameVectorField, substeps: int | None = None):
+def make_reference_stepper(F: FrameVectorField):
     """Fixed-step 4th-order stepper in the exponential chart at the source.
 
     Deterministic substep count and dtype-following arithmetic make it
@@ -935,7 +930,7 @@ def make_reference_stepper(F: FrameVectorField, substeps: int | None = None):
         A = np.asarray(p)
         if t == 0:
             return A.copy()
-        n = substeps if substeps is not None else max(16, int(math.ceil(abs(t) / 2e-4)))
+        n = max(16, int(math.ceil(abs(t) / 2e-4)))
         dt = A.dtype.type(t) / n
         u = np.zeros(frame.dim, dtype=A.dtype)
 
@@ -958,8 +953,7 @@ def make_reference_stepper(F: FrameVectorField, substeps: int | None = None):
 # Volume diagnostics
 
 
-def step_volume(stepper, p, t, frame: GroupFrame | None = None,
-                fd_step: float | None = None):
+def step_volume(stepper, p, t, frame: GroupFrame | None = None):
     """log |det| of the step map between exponential charts.
 
     The map is read in the chart at the source point and the chart at its
@@ -970,7 +964,7 @@ def step_volume(stepper, p, t, frame: GroupFrame | None = None,
     A = np.asarray(p)
     if frame is None:
         frame = so3()
-    h = A.dtype.type(fd_step if fd_step is not None else max(1e-5, abs(t) * 1e-3))
+    h = A.dtype.type(max(1e-5, abs(t) * 1e-3))
     q = stepper(A, t)
     d = frame.dim
     cols = []

@@ -14,7 +14,7 @@ from postlie.checks import (
 
 
 def test_suite_registry():
-    assert set(SUITES) == {"axioms", "gl", "theta", "smash", "degenerate"}
+    assert set(SUITES) == {"axioms", "gl", "theta", "smash", "degenerate", "braiding"}
 
 
 def test_report_line_format():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import functools
+import inspect
 import io
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from postlie import checks
 from postlie.cli import BINARY_OPS, UNARY_OPS, main
 
 
@@ -119,6 +122,43 @@ def test_algebra_check_braiding(capsys):
     assert all("status=pass" in ln for ln in out.splitlines()[1:])
 
 
+# The calls of acceptance criteria 01-06.
+GATE_CALLS = {
+    "axioms": dict(max_grade=3, samples=200, sample_grade=4, seed=0),
+    "gl": dict(max_grade=4, samples=200, sample_grade=4, seed=0),
+    "theta": dict(max_grade=3, samples=100, sample_grade=3, seed=0),
+    "braiding": dict(max_grade=3, samples=200, sample_grade=4, seed=0),
+    "smash": dict(max_grade=3, samples=200, seed=0),
+    "degenerate": dict(max_grade=5, samples=100, seed=0),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GATE_CALLS))
+def test_algebra_check_passes_only_given_sizes(capsys, monkeypatch, suite):
+    fn = checks.SUITES[suite]
+    calls = []
+
+    @functools.wraps(fn)
+    def record(**kwargs):
+        bound = inspect.signature(fn).bind(**kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        return []
+
+    monkeypatch.setitem(checks.SUITES, suite, record)
+    gate = GATE_CALLS[suite]
+    code, out, _ = run(capsys, "algebra", "check", "--suite", suite)
+    assert code == 0
+    assert calls == [gate]
+    assert out.endswith(f"max-grade={gate['max_grade']} samples={gate['samples']} seed=0\n")
+    # Flags replace only their own size: the sample grade stays the suite's.
+    code, out, _ = run(capsys, "algebra", "check", "--suite", suite,
+                       "--max-grade", "2", "--samples", "5", "--seed", "11")
+    assert code == 0
+    assert calls[1] == dict(gate, max_grade=2, samples=5, seed=11)
+    assert out.endswith("max-grade=2 samples=5 seed=11\n")
+
+
 def test_algebra_check_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["algebra", "check", "--suite", "nonsense"])
@@ -162,6 +202,8 @@ def test_algebra_eval_exit_contract(op, left, right):
     ("algebra", "check", "--suite", "braiding", "--max-grade", "7"),
     ("series", "gl-exp", "--order", "12"),
     ("series", "modified-field", "--method", "lie-euler", "--order", "11"),
+    ("algebra", "eval", "--op", "antipode", "--left", " ".join(["o"] * 12)),
+    ("algebra", "eval", "--op", "theta", "--left", " ".join(["o"] * 12)),
 ])
 def test_capacity_bounds_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -373,7 +373,7 @@ def test_steppers_stay_on_group(field):
 
 def test_aromatic_step_close_to_plain(field):
     p = rot(18, np.longdouble)
-    a = make_aromatic_stepper(field, 3)(p, 1e-3)
+    a = make_aromatic_stepper(field)(p, 1e-3)
     b = lie_euler_step(field, p, 1e-3)
     assert np.max(np.abs(np.asarray(a - b, float))) < 1e-5
 
