@@ -510,23 +510,23 @@ def gl_antipode(a: AlgebroidElement) -> AlgebroidElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _kmap(w: Forest) -> tuple[tuple[Fraction, tuple[PlanarTree, ...]], ...]:
-    """The action of a pure word on coefficients, as a combination of
-    derivation sequences (applied left to right).
+def _kmap(w: Forest) -> tuple[tuple[int, tuple[PlanarTree, ...]], ...]:
+    """The action of a pure word on coefficients, as an integer
+    combination of derivation sequences (applied left to right).
 
     Recursion:  (v X) -> f  =  v -> (X -> f)  -  (v > X) -> f.
     """
     if not w.trees:
-        return ((Fraction(1), ()),)
+        return ((1, ()),)
     v = w.trees[0]
     rest = Forest(w.trees[1:])
-    acc: dict[tuple[PlanarTree, ...], Fraction] = {}
+    acc: dict[tuple[PlanarTree, ...], int] = {}
     for c, seq in _kmap(rest):
         key = seq + (v,)
-        acc[key] = acc.get(key, Fraction(0)) + c
+        acc[key] = acc.get(key, 0) + c
     for u, m in graft_into_forest(v, rest).items():
         for c, seq in _kmap(u):
-            acc[seq] = acc.get(seq, Fraction(0)) - m * c
+            acc[seq] = acc.get(seq, 0) - m * c
     return tuple(sorted(
         ((c, seq) for seq, c in acc.items() if c),
         key=lambda it: tuple(t.sort_key for t in it[1])))

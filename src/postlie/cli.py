@@ -42,9 +42,13 @@ UNARY_OPS = {
     "antipode": gl_antipode,
 }
 # Largest operand grade the unary ops take.  Their cost grows steeply with
-# grade: the slowest grade-9 words timed (o^9, o^7 [o]) take 2 to 4 s, and
-# grade-10 words such as o^10 or o^6 [o] [o] take 9 to 14 s.
-UNARY_MAX_GRADE = 9
+# grade: the slowest grade-10 words timed (o^10, o^8 [o], o^6 [o] [o])
+# take 2 to 3 s in a fresh process.
+UNARY_MAX_GRADE = 10
+# Largest total operand grade, left plus right, that gl and triangle take.
+# Their cost follows the left word's letter count: o^10 by o takes 3.5 s
+# in a fresh process, o^11 by o 10 to 12 s and o^10 by o^4 about 30 s.
+BINARY_MAX_GRADE = 11
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,7 +154,12 @@ def _cmd_algebra_eval(args) -> int:
     if args.op in BINARY_OPS:
         if args.right is None:
             raise ConfigurationError(f"--op {args.op} needs --right")
-        result = BINARY_OPS[args.op](left, parse_element(args.right))
+        right = parse_element(args.right)
+        total = left.max_grade() + right.max_grade()
+        if args.op != "concat" and total > BINARY_MAX_GRADE:
+            raise CapacityError(f"--op {args.op} total operand grade {total} "
+                                f"exceeds bound {BINARY_MAX_GRADE}")
+        result = BINARY_OPS[args.op](left, right)
     else:
         if args.right is not None:
             raise ConfigurationError(f"--op {args.op} takes no --right")

@@ -9,12 +9,19 @@ differential algebra" means here.
 
 Rational scalars are the degenerate case: with no generators in sight
 every derivation is identically zero.
+
+Generators are hash-consed on (base, applied, base_degree), like the
+trees they carry: constructing or deriving one returns the single object
+for that value, with its degree, sort key and hash filled once.  The
+intern table is never cleared, so a routine that frees caches must leave
+it alone.  Polynomial coefficients are stored as ``int`` while integral
+and as ``Fraction`` only when a denominator appears; every result with
+denominator 1 goes back to ``int``.  The public accessors
+``sorted_terms`` and ``constant_value`` return ``Fraction``.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -23,7 +30,6 @@ from .trees import PlanarTree
 Scalar = Union[Fraction, int]
 
 
-@dataclass(frozen=True, eq=False)
 class AromaGenerator:
     """A generator ``base^(t1,...,tk)`` of the coefficient algebra.
 
@@ -31,19 +37,37 @@ class AromaGenerator:
     symbol, innermost first.  ``base_degree`` feeds the grading (default
     0) but is deliberately excluded from equality: identity is the pair
     (base, applied).
+
+    Interned on ``(base, applied, base_degree)``: constructing a generator
+    twice returns one object, whose ``degree``, ``sort_key`` and hash are
+    filled once.
     """
 
-    base: str
-    applied: tuple[PlanarTree, ...] = ()
-    base_degree: int = field(default=0, compare=False)
+    __slots__ = ("base", "applied", "base_degree", "degree", "sort_key", "_hash")
 
-    @property
-    def degree(self) -> int:
-        return self.base_degree + sum(t.size for t in self.applied)
+    # (base, applied, base_degree) -> the generator.  Never cleared, as for
+    # trees and forests.
+    _interned: dict[tuple, "AromaGenerator"] = {}
 
-    @functools.cached_property
-    def sort_key(self):
-        return (self.base, tuple(t.sort_key for t in self.applied))
+    def __new__(cls, base: str, applied: tuple[PlanarTree, ...] = (),
+                base_degree: int = 0) -> "AromaGenerator":
+        if type(applied) is not tuple:
+            applied = tuple(applied)
+        key = (base, applied, base_degree)
+        gen = cls._interned.get(key)
+        if gen is not None:
+            return gen
+        gen = object.__new__(cls)
+        gen.base = base
+        gen.applied = applied
+        gen.base_degree = base_degree
+        gen.degree = base_degree + sum(t.size for t in applied)
+        gen.sort_key = (base, tuple(t.sort_key for t in applied))
+        gen._hash = hash((base, applied))
+        return cls._interned.setdefault(key, gen)
+
+    def __reduce__(self):
+        return AromaGenerator, (self.base, self.applied, self.base_degree)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -53,25 +77,19 @@ class AromaGenerator:
         return self.base == other.base and self.applied == other.applied
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.base, self.applied))
-            self.__dict__["_hash"] = h
-        return h
+        return self._hash
 
     def derive(self, tau: PlanarTree) -> "AromaGenerator":
-        return _derived_generator(self, tau)
+        return AromaGenerator(self.base, self.applied + (tau,), self.base_degree)
 
     def __str__(self) -> str:
         if not self.applied:
             return self.base
         return self.base + "^(" + ",".join(t.encoding for t in self.applied) + ")"
 
-
-@functools.lru_cache(maxsize=None)
-def _derived_generator(gen: AromaGenerator, tau: PlanarTree) -> AromaGenerator:
-    # Interned so repeated derivations reuse one object and its cached hash.
-    return AromaGenerator(gen.base, gen.applied + (tau,), gen.base_degree)
+    def __repr__(self) -> str:
+        return (f"AromaGenerator(base={self.base!r}, applied={self.applied!r}, "
+                f"base_degree={self.base_degree!r})")
 
 
 #: A monomial is a multiset of generators, stored as a sorted tuple.
@@ -92,26 +110,42 @@ def _format_monomial(m: Monomial) -> str:
     return "*".join(str(g) for g in m)
 
 
+def _norm(c: Scalar) -> Scalar:
+    """An int or Fraction as a stored coefficient: int when integral."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _exact(c) -> Scalar:
+    """Any exact scalar ``Fraction`` accepts, as a stored coefficient."""
+    return c if type(c) is int else _norm(Fraction(c))
+
+
 class CoeffPoly:
-    """Sparse polynomial: monomial -> Fraction, zeros dropped."""
+    """Sparse polynomial: monomial -> exact rational, zeros dropped.
+
+    A stored coefficient is an ``int`` exactly when it is integral and a
+    ``Fraction`` otherwise; ``sorted_terms`` and ``constant_value`` hand
+    out ``Fraction``.
+    """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
-                    clean[mono] = clean.get(mono, Fraction(0)) + c
-            clean = {m: c for m, c in clean.items() if c}
+                    clean[mono] = c
         self.terms = clean
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "CoeffPoly":
-        """Internal: terms already canonical (sorted keys, Fraction values,
-        no zeros).  Takes ownership of the dict."""
+    def _raw(cls, terms: dict[Monomial, Scalar]) -> "CoeffPoly":
+        """Internal: terms already canonical (sorted keys, stored
+        coefficients, no zeros).  Takes ownership of the dict."""
         out = object.__new__(cls)
         out.terms = terms
         out._hash = None
@@ -125,7 +159,8 @@ class CoeffPoly:
 
     @staticmethod
     def scalar(c: Scalar) -> "CoeffPoly":
-        return CoeffPoly({_ONE_MONOMIAL: Fraction(c)})
+        c = _exact(c)
+        return CoeffPoly._raw({_ONE_MONOMIAL: c} if c else {})
 
     @staticmethod
     def one() -> "CoeffPoly":
@@ -135,7 +170,7 @@ class CoeffPoly:
     def generator(gen: AromaGenerator | str, base_degree: int = 0) -> "CoeffPoly":
         if isinstance(gen, str):
             gen = AromaGenerator(gen, (), base_degree)
-        return CoeffPoly({(gen,): Fraction(1)})
+        return CoeffPoly._raw({(gen,): 1})
 
     # -- predicates
 
@@ -148,7 +183,7 @@ class CoeffPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial has non-constant terms")
-        return self.terms.get(_ONE_MONOMIAL, Fraction(0))
+        return Fraction(self.terms.get(_ONE_MONOMIAL, 0))
 
     def degree(self) -> int:
         """Max monomial degree; zero polynomial reports 0."""
@@ -176,7 +211,7 @@ class CoeffPoly:
             else:
                 v = v + c
                 if v:
-                    acc[m] = v
+                    acc[m] = _norm(v)
                 else:
                     del acc[m]
         return CoeffPoly._raw(acc)
@@ -189,13 +224,13 @@ class CoeffPoly:
 
     def __mul__(self, other) -> "CoeffPoly":
         if isinstance(other, CoeffPoly):
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, Scalar] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = _sorted_monomial(m1 + m2) if m1 and m2 else m1 + m2
                     v = acc.get(m)
                     acc[m] = c1 * c2 if v is None else v + c1 * c2
-            return CoeffPoly._raw({m: c for m, c in acc.items() if c})
+            return CoeffPoly._raw({m: _norm(c) for m, c in acc.items() if c})
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -208,23 +243,23 @@ class CoeffPoly:
     def scale(self, c: Scalar) -> "CoeffPoly":
         if c == 1:
             return self
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return CoeffPoly()
-        return CoeffPoly._raw({m: c * v for m, v in self.terms.items()})
+        return CoeffPoly._raw({m: _norm(c * v) for m, v in self.terms.items()})
 
     def derive(self, tau: PlanarTree) -> "CoeffPoly":
         """Free derivation attached to tau, by the Leibniz rule.
 
         Each generator in a monomial is hit in turn; constants vanish.
         """
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             for i, gen in enumerate(mono):
                 m = _sorted_monomial(mono[:i] + (gen.derive(tau),) + mono[i + 1:])
                 v = acc.get(m)
                 acc[m] = c if v is None else v + c
-        return CoeffPoly._raw({m: c for m, c in acc.items() if c})
+        return CoeffPoly._raw({m: _norm(c) for m, c in acc.items() if c})
 
     # -- equality, hashing, display
 
@@ -240,7 +275,7 @@ class CoeffPoly:
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(
-            self.terms.items(),
+            ((m, Fraction(c)) for m, c in self.terms.items()),
             key=lambda kv: (monomial_degree(kv[0]), tuple(g.sort_key for g in kv[0])),
         )
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -1068,8 +1069,24 @@ def random_rotation(rng: random.Random, frame: GroupFrame | None = None) -> np.n
 # Experiments
 
 
+#: Most rows an experiment runs.  An fd volume row costs about 3 s.
+MAX_T_POINTS = 64
+
+#: Most steps one order-experiment row composes, round(horizon / t); an
+#: aromatic row of 1000 steps takes about 2 s.
+MAX_ORDER_STEPS = 1000
+
+#: Most worker threads an experiment takes: the CPU count, but never below
+#: the 8 that the thread-determinism checks run.
+MAX_THREADS = max(8, os.cpu_count() or 1)
+
+
 def geometric_grid(t_min: float, t_max: float, points: int) -> tuple[float, ...]:
     """Strictly decreasing geometric grid from t_max down to t_min."""
+    if points > MAX_T_POINTS:
+        raise ConfigurationError(f"t-grid of {points} points exceeds bound {MAX_T_POINTS}")
+    if not (0 < t_min < math.inf and 0 < t_max < math.inf):
+        raise ConfigurationError("t-grid must be positive and finite")
     return tuple(float(v) for v in np.geomspace(t_max, t_min, points))
 
 
@@ -1096,16 +1113,28 @@ class ExperimentConfig:
         object.__setattr__(self, "t_grid", grid)
         if len(grid) < 5:
             raise ConfigurationError("t-grid needs at least 5 points")
-        if any(t <= 0 for t in grid):
-            raise ConfigurationError("t-grid must be positive")
+        if len(grid) > MAX_T_POINTS:
+            raise ConfigurationError(
+                f"t-grid of {len(grid)} points exceeds bound {MAX_T_POINTS}")
+        if not all(0 < t < math.inf for t in grid):
+            raise ConfigurationError("t-grid must be positive and finite")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ConfigurationError("t-grid must be strictly decreasing")
         if self.kind not in ("volume", "order"):
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
+        # The smallest step's row composes round(horizon / t) steps; compared
+        # as a float, since the ratio may overflow to inf.
+        steps = grid[0] / grid[-1]
+        if self.kind == "order" and steps > MAX_ORDER_STEPS + 0.5:
+            raise ConfigurationError(
+                f"order row of {steps:.4g} steps exceeds bound {MAX_ORDER_STEPS}")
         if self.base_point not in ("random", "identity"):
             raise ConfigurationError(f"unknown base point {self.base_point!r}")
         if self.threads < 1:
             raise ConfigurationError("threads must be positive")
+        if self.threads > MAX_THREADS:
+            raise ConfigurationError(
+                f"threads {self.threads} exceeds bound {MAX_THREADS}")
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,20 @@ Encodings::
 "o" is the single vertex; "[t1 t2 ... tk]" (written without spaces) is a
 root whose ordered children are t1..tk.  "[]" parses to the single vertex
 but always formats back to "o".
+
+Trees and forests are hash-consed: each value has exactly one object,
+looked up by its children (or letters) tuple when it is constructed, so
+equality and hashing are by identity and cost one pointer.  Copying,
+deep-copying and unpickling go through the constructor and return that
+object.  The intern tables are never cleared; identity equality depends
+on every tree and forest handed out staying the one for its value, so a
+routine that frees caches must leave them alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 #: Default ceiling for enumeration by grade.  Grade g contributes
@@ -47,40 +54,38 @@ class CapacityError(RuntimeError):
     """A request exceeded a configured grade bound."""
 
 
-@dataclass(frozen=True, eq=False)
 class PlanarTree:
-    """A planar (ordered) rooted tree.  Immutable and hashable."""
+    """A planar (ordered) rooted tree, interned; its fields are never assigned.
 
-    children: tuple["PlanarTree", ...] = ()
+    ``PlanarTree(children)`` returns the one tree with those children, so
+    equal trees are the same object and compare and hash by identity.
+    ``size``, ``encoding`` and ``sort_key`` are filled once, when the tree
+    is first built.
+    """
 
-    @functools.cached_property
-    def size(self) -> int:
-        """Number of vertices."""
-        return 1 + sum(c.size for c in self.children)
+    __slots__ = ("children", "size", "encoding", "sort_key")
 
-    @functools.cached_property
-    def encoding(self) -> str:
-        if not self.children:
-            return "o"
-        return "[" + "".join(c.encoding for c in self.children) + "]"
+    # children tuple -> the tree.  Never cleared: identity equality holds
+    # only while every tree ever handed out stays the one for its value.
+    _interned: dict[tuple["PlanarTree", ...], "PlanarTree"] = {}
 
-    @functools.cached_property
-    def sort_key(self) -> tuple[int, str]:
-        return (self.size, self.encoding)
+    def __new__(cls, children: tuple["PlanarTree", ...] = ()) -> "PlanarTree":
+        if type(children) is not tuple:
+            children = tuple(children)
+        tree = cls._interned.get(children)
+        if tree is not None:
+            return tree
+        tree = object.__new__(cls)
+        tree.children = children
+        tree.size = 1 + sum(c.size for c in children)
+        tree.encoding = ("[" + "".join(c.encoding for c in children) + "]"
+                         if children else "o")
+        tree.sort_key = (tree.size, tree.encoding)
+        # setdefault: of two threads building one value, both get the winner.
+        return cls._interned.setdefault(children, tree)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, PlanarTree):
-            return NotImplemented
-        return self.encoding == other.encoding
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.encoding)
-            self.__dict__["_hash"] = h
-        return h
+    def __reduce__(self):
+        return PlanarTree, (self.children,)
 
     def __lt__(self, other: "PlanarTree") -> bool:
         return self.sort_key < other.sort_key
@@ -95,40 +100,34 @@ class PlanarTree:
 LEAF = PlanarTree()
 
 
-@dataclass(frozen=True, eq=False)
 class Forest:
-    """An ordered tuple of planar trees.  The empty forest is the unit word."""
+    """An ordered tuple of planar trees.  The empty forest is the unit word.
 
-    trees: tuple[PlanarTree, ...] = ()
+    Interned like ``PlanarTree``: one object per letters tuple, identity
+    equality and hashing, ``grade``, ``encoding`` and ``sort_key`` filled
+    at construction.
+    """
 
-    @functools.cached_property
-    def grade(self) -> int:
-        """Total vertex count."""
-        return sum(t.size for t in self.trees)
+    __slots__ = ("trees", "grade", "encoding", "sort_key")
 
-    @functools.cached_property
-    def encoding(self) -> str:
-        if not self.trees:
-            return "1"
-        return " ".join(t.encoding for t in self.trees)
+    # letters tuple -> the forest.  Never cleared, as for trees.
+    _interned: dict[tuple[PlanarTree, ...], "Forest"] = {}
 
-    @functools.cached_property
-    def sort_key(self) -> tuple[int, str]:
-        return (self.grade, self.encoding)
+    def __new__(cls, trees: tuple[PlanarTree, ...] = ()) -> "Forest":
+        if type(trees) is not tuple:
+            trees = tuple(trees)
+        forest = cls._interned.get(trees)
+        if forest is not None:
+            return forest
+        forest = object.__new__(cls)
+        forest.trees = trees
+        forest.grade = sum(t.size for t in trees)
+        forest.encoding = " ".join(t.encoding for t in trees) if trees else "1"
+        forest.sort_key = (forest.grade, forest.encoding)
+        return cls._interned.setdefault(trees, forest)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Forest):
-            return NotImplemented
-        return self.encoding == other.encoding
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.encoding)
-            self.__dict__["_hash"] = h
-        return h
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __lt__(self, other: "Forest") -> bool:
         return self.sort_key < other.sort_key
@@ -140,6 +139,10 @@ class Forest:
         return iter(self.trees)
 
     def __add__(self, other: "Forest") -> "Forest":
+        if not other.trees:
+            return self
+        if not self.trees:
+            return other
         return Forest(self.trees + other.trees)
 
     def __str__(self) -> str:
@@ -163,9 +166,9 @@ def single(tree: PlanarTree) -> Forest:
 def _parse_tree_at(text: str, i: int) -> tuple[PlanarTree, int]:
     """Parse one tree starting at offset i; return it and the next offset.
 
-    Iterative, so nesting depth does not touch the call stack.  A node's
-    size and encoding are computed as it closes, from children that hold
-    theirs already, so reading them later does not recurse either.
+    Iterative, so nesting depth does not touch the call stack.  A node is
+    built as it closes, from children already built, so filling its size
+    and encoding does not recurse either.
     """
     open_children: list[list[PlanarTree]] = []
     while True:
@@ -183,7 +186,6 @@ def _parse_tree_at(text: str, i: int) -> tuple[PlanarTree, int]:
             tree = LEAF
         elif c == "]" and open_children:
             tree = PlanarTree(tuple(open_children.pop()))
-            tree.size, tree.encoding  # cache both bottom-up
         else:
             raise ParseError(f"expected 'o' or '[', got {c!r}", i - 1)
         if not open_children:

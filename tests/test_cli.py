@@ -6,8 +6,11 @@ import contextlib
 import functools
 import inspect
 import io
+import os
+import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -204,6 +207,11 @@ def test_algebra_eval_exit_contract(op, left, right):
     ("series", "modified-field", "--method", "lie-euler", "--order", "11"),
     ("algebra", "eval", "--op", "antipode", "--left", " ".join(["o"] * 12)),
     ("algebra", "eval", "--op", "theta", "--left", " ".join(["o"] * 12)),
+    ("algebra", "eval", "--op", "gl", "--left", " ".join(["o"] * 11), "--right", "o"),
+    ("algebra", "eval", "--op", "triangle", "--left", " ".join(["o"] * 11),
+     "--right", "o"),
+    ("algebra", "eval", "--op", "gl", "--left", " ".join(["o"] * 8),
+     "--right", " ".join(["o"] * 8)),
 ])
 def test_capacity_bounds_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -299,6 +307,25 @@ def test_experiment_numeric_error_exits_2(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("experiment", "volume", "--threads", "1000000"),
+    ("experiment", "volume", "--t-points", "1000000000000"),
+    ("experiment", "order", "--t-min", "1e-12", "--t-max", "1e-1"),
+    ("experiment", "order", "--t-min", "5e-324", "--t-max", "1e-1"),
+])
+def test_experiment_bounds_exit_2_before_any_row(capsys, monkeypatch, argv):
+    def no_rows(cfg):
+        raise AssertionError("experiment started")
+
+    monkeypatch.setattr("postlie.cli.run_experiment", no_rows)
+    threads_before = threading.active_count()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert threading.active_count() == threads_before
+
+
 def test_experiment_order_kind(capsys):
     code, out, _ = run(
         capsys,
@@ -358,3 +385,15 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == ["1", "o"]
+
+
+def test_python_dash_m_package_runs_cli(capsys):
+    argv = ["trees", "enumerate", "--max-grade", "3", "--seed", "4"]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "postlie", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    code, out, err = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert proc.stderr == err == ""

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -39,6 +44,51 @@ def test_derive_appends_and_interns():
     assert d.degree == 1
     assert d is G.derive(LEAF)
     assert d.derive(T2).degree == 3
+
+
+def test_generators_are_interned():
+    assert AromaGenerator("g") is G
+    assert AromaGenerator("g", (LEAF,)) is G.derive(LEAF)
+    # The grading is part of the intern key but not of equality.
+    graded = AromaGenerator("g", base_degree=2)
+    assert graded is AromaGenerator("g", (), 2)
+    assert graded is not G and graded == G and hash(graded) == hash(G)
+    for gen in (G, G.derive(LEAF).derive(T2), graded):
+        assert copy.copy(gen) is gen
+        assert copy.deepcopy(gen) is gen
+        assert pickle.loads(pickle.dumps(gen)) is gen
+
+
+def test_concurrent_derivation_gives_one_generator_per_value():
+    # A base symbol no other test uses, so every thread races to intern,
+    # and a long derivation history makes each generator slow to build.
+    letters = [parse_tree("[" + "o" * k + "]") for k in range(1, 21)]
+    base = AromaGenerator("race", tuple(letters) * 5)
+    n_threads = 4
+    results = [None] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def work(k):
+        start.wait()
+        out = []
+        for a in letters:
+            for b in letters:
+                out.append(base.derive(a).derive(b))
+        results[k] = out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(len(results[0])):
+        assert len({id(r[i]) for r in results}) == 1
 
 
 def test_generator_str():
@@ -139,3 +189,89 @@ def test_sorted_terms_ordering():
     terms = (h + g * g).sorted_terms()
     assert len(terms) == 2
     assert all(isinstance(c, Fraction) for _, c in terms)
+
+
+# -- integer coefficients against an all-Fraction reference
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2, key=lambda g: g.sort_key))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_derive(a, tau):
+    out = {}
+    for mono, c in a.items():
+        for i, gen in enumerate(mono):
+            m = tuple(sorted(mono[:i] + (gen.derive(tau),) + mono[i + 1:],
+                             key=lambda g: g.sort_key))
+            out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _random_scalar(rng):
+    # Integral and fractional values whose products and sums often cancel
+    # every denominator.
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 6)))
+
+
+def _random_pair(rng):
+    """A random poly as (CoeffPoly, all-Fraction reference dict)."""
+    ref = {}
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.4:
+            mono = ()
+        else:
+            gens = [rng.choice((G, H, G.derive(LEAF), H.derive(T2)))
+                    for _ in range(rng.randint(1, 2))]
+            mono = tuple(sorted(gens, key=lambda g: g.sort_key))
+        ref = _ref_add(ref, {mono: _random_scalar(rng)})
+    spelled = {m: (int(c) if c.denominator == 1 and rng.random() < 0.5 else c)
+               for m, c in ref.items()}
+    return CoeffPoly(spelled), ref
+
+
+def _assert_matches(p, ref):
+    assert {m: Fraction(c) for m, c in p.terms.items()} == ref
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+    assert all(type(c) is Fraction for _, c in p.sorted_terms())
+    if p.is_constant():
+        assert type(p.constant_value()) is Fraction
+        assert p.constant_value() == ref.get((), Fraction(0))
+
+
+def test_integer_coefficients_match_fraction_reference():
+    rng = random.Random(20061)
+    for _ in range(500):
+        p, ref = _random_pair(rng)
+        _assert_matches(p, ref)
+        for _ in range(rng.randint(1, 4)):
+            op = rng.choice(("add", "mul", "scale", "derive"))
+            if op == "add":
+                q, qref = _random_pair(rng)
+                p, ref = p + q, _ref_add(ref, qref)
+            elif op == "mul":
+                q, qref = _random_pair(rng)
+                p, ref = p * q, _ref_mul(ref, qref)
+            elif op == "scale":
+                c = _random_scalar(rng)
+                if c.denominator == 1 and rng.random() < 0.5:
+                    c = int(c)
+                p, ref = p.scale(c), _ref_mul(ref, {(): Fraction(c)} if c else {})
+            else:
+                tau = rng.choice((LEAF, T2))
+                p, ref = p.derive(tau), _ref_derive(ref, tau)
+            _assert_matches(p, ref)

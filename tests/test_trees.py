@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +68,63 @@ def test_planarity_respected():
     # Mirror-image trees are distinct words in the planar setting.
     assert parse_tree("[[o]o]") != parse_tree("[o[o]]")
     assert parse_forest("[o] o") != parse_forest("o [o]")
+
+
+# -- interning
+
+
+def test_parsing_twice_gives_one_object():
+    for text in ("o", "[o[o]o]", "[[o]o] o [oo]", "1"):
+        assert parse_forest(text) is parse_forest(text)
+    assert parse_tree("[o[o]]") is parse_tree("[o[o]]")
+    assert parse_tree("[]") is LEAF
+
+
+def test_forest_from_its_letters_is_the_parsed_forest():
+    for text in ("o", "[o] o", "[[o]o] o [oo]", "1"):
+        w = parse_forest(text)
+        assert Forest(tuple(w)) is w
+        assert Forest(list(w)) is w
+    assert PlanarTree(parse_tree("[o[o]]").children) is parse_tree("[o[o]]")
+
+
+@pytest.mark.parametrize("text", ["o", "[o[o]o]", "[[o]o] o [oo]", "1"])
+def test_copies_are_the_interned_object(text):
+    w = parse_forest(text)
+    for x in (w, *w.trees):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+
+
+def test_concurrent_construction_gives_one_object_per_value():
+    # Values no other test builds, so every thread races to intern them.
+    def build(i):
+        bush = PlanarTree((LEAF,) * (40 + i))
+        return Forest((PlanarTree((bush, LEAF, bush)), bush))
+
+    n_threads, n_values = 4, 200
+    results = [None] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def work(k):
+        start.wait()
+        results[k] = [build(i) for i in range(n_values)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(n_values):
+        assert len({id(r[i]) for r in results}) == 1
+        assert results[0][i] is build(i)
 
 
 # -- parsing and formatting
