@@ -42,6 +42,9 @@ only.  Coefficients enter through the smash-product factorisation
 
 over unshuffle splittings of w, where w1 -> g is ``word_action``.  A
 non-empty word kills constants, so pure terms take the kernel alone.
+``_smash`` is that one loop.  It has three clients: ``triangle``,
+``gl_product`` and ``braiding.braid_pair``, whose kernel ``_braid_words``
+maps a word pair to word pairs.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Hashable, Mapping, Union
 
 from .coeffs import CoeffPoly, Scalar
 from .trees import (
@@ -203,7 +206,7 @@ class AlgebroidElement:
         return f"AlgebroidElement<{self}>"
 
 
-def _accumulate(acc: dict[Forest, CoeffPoly], w: Forest, f: CoeffPoly) -> None:
+def _accumulate(acc: dict[Hashable, CoeffPoly], w: Hashable, f: CoeffPoly) -> None:
     g = acc.get(w)
     if g is None:
         acc[w] = f
@@ -215,7 +218,7 @@ def _accumulate(acc: dict[Forest, CoeffPoly], w: Forest, f: CoeffPoly) -> None:
             acc[w] = g
 
 
-def _bump(acc: dict[Forest, int], w: Forest, m: int) -> None:
+def _bump(acc: dict[Hashable, Scalar], w: Hashable, m: Scalar) -> None:
     n = acc.get(w, 0) + m
     if n:
         acc[w] = n
@@ -407,16 +410,20 @@ def _triangle_words(w: Forest, v: Forest) -> dict[Forest, int]:
 
 
 def _smash(a: AlgebroidElement, b: AlgebroidElement,
-           kernel: Callable[[Forest, Forest], dict[Forest, int]]) -> AlgebroidElement:
-    """The smash-product shape shared by ``triangle`` and ``gl_product``:
+           kernel: Callable[[Forest, Forest], dict[Hashable, int]],
+           ) -> dict[Hashable, CoeffPoly]:
+    """The smash-product loop shared by ``triangle``, ``gl_product`` and
+    ``braiding.braid_pair``:
 
         (f . w) op (g . v)  =  sum  f . (w1 -> g) . kernel(w2, v)
 
     over unshuffle splittings of w, with ``kernel`` the pure-word form of
-    the operation.  A non-empty word kills constants, so a constant g
-    takes the empty split alone: one kernel lookup and no splitting.
+    the operation; its keys are words, or word pairs for the braiding.  A
+    non-empty word kills constants, so a constant g takes the empty split
+    alone: one kernel lookup and no splitting.  Returns the term dict,
+    which holds no zero coefficient.
     """
-    acc: dict[Forest, CoeffPoly] = {}
+    acc: dict[Hashable, CoeffPoly] = {}
     for w, f in a.terms.items():
         for v, g in b.terms.items():
             _guard(w.grade + v.grade + g.degree())
@@ -431,7 +438,7 @@ def _smash(a: AlgebroidElement, b: AlgebroidElement,
                 p = f * h
                 for u, m in kernel(w2, v).items():
                     _accumulate(acc, u, p.scale(m))
-    return AlgebroidElement._raw(acc)
+    return acc
 
 
 def triangle(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
@@ -441,7 +448,7 @@ def triangle(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
     g . v through the smash factorisation  w > (g . v) = sum
     (w1 -> g) . (w2 > v).
     """
-    return _smash(a, b, _triangle_words)
+    return AlgebroidElement._raw(_smash(a, b, _triangle_words))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +471,7 @@ def _gl_words(w: Forest, v: Forest) -> dict[Forest, int]:
 def gl_product(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
     """x * y = sum over splittings  concat(x1, triangle(x2, y)), computed as
     (f . w) * (g . v) = sum  f . (w1 -> g) . (w2 * v)."""
-    return _smash(a, b, _gl_words)
+    return AlgebroidElement._raw(_smash(a, b, _gl_words))
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,13 +5,17 @@ The operator sends a word pair to
     r(x (x) y)  =  (x1 > y1)  (x)  theta(x2 > y2) * x3 * y3
 
 summed over three-way unshuffle splittings of both factors.  Pure words
-stay pure under >, theta and *, so the kernel runs on integer
-combinations of word pairs; ``braid_r`` extends it linearly over the
-pooled pair coefficient of a :class:`TensorElement`, which reads that
+stay pure under >, theta and *, so the kernel ``_braid_words`` runs on
+integer combinations of word pairs; ``braid_r`` extends it linearly over
+the pooled pair coefficient of a :class:`TensorElement`, which reads that
 coefficient off the left factor.  ``braid_pair`` keeps the two factors
-separate and threads each factor's coefficient through its own leading
-splitting leg; the two evaluations agree whenever the right factor is
-pure.
+separate and runs the kernel through the algebroid's smash loop,
+
+    r((f . w) (x) (g . v))  =  sum  f . (w1 -> g) . r(w2 (x) v),
+
+which is exact because the unshuffle coproduct is coassociative and the
+right output leg theta(x2 > y2) * x3 * y3 is always pure.  The two
+evaluations agree whenever the right factor is pure.
 
 ``check_braiding`` verifies the six braiding axioms and the counit
 consequence on pure tensors, and the two scalar-slot identities (left
@@ -24,22 +28,20 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from typing import Iterator
 
 from .algebroid import (
     AlgebroidElement,
     TensorElement,
     _accumulate,
     _bump,
+    _Derivatives,
     _gl_words,
     _guard,
+    _smash,
     _triangle_words,
     counit,
     gl_antipode_word,
     gl_product,
-    theta,
-    triangle,
-    word_action,
     word_splits,
     word_triples,
 )
@@ -90,25 +92,8 @@ def _braid_words(w: Forest, v: Forest) -> dict[_Pair, int]:
             m = mw * mv
             for a, ka in left.items():
                 for b, kb in right.items():
-                    key = (a, b)
-                    n = out.get(key, 0) + m * ka * kb
-                    if n:
-                        out[key] = n
-                    else:
-                        out.pop(key, None)
+                    _bump(out, (a, b), m * ka * kb)
     return out
-
-
-def _pair_accumulate(acc: dict[_Pair, CoeffPoly], key: _Pair, f: CoeffPoly) -> None:
-    g = acc.get(key)
-    if g is None:
-        acc[key] = f
-    else:
-        g = g + f
-        if g.is_zero():
-            del acc[key]
-        else:
-            acc[key] = g
 
 
 def braid_r(p: TensorElement) -> TensorElement:
@@ -120,55 +105,29 @@ def braid_r(p: TensorElement) -> TensorElement:
     for (w, v), c in p.terms.items():
         _guard(w.grade + v.grade + c.degree())
         for pair, m in _braid_words(w, v).items():
-            _pair_accumulate(acc, pair, c.scale(m))
+            _accumulate(acc, pair, c.scale(m))
     return TensorElement(acc)
 
 
-def sweedler_triples(
-    x: AlgebroidElement,
-) -> Iterator[tuple[AlgebroidElement, AlgebroidElement, AlgebroidElement]]:
-    """Iterated coproduct legs; the coefficient rides the first leg."""
-    for w, f in x.terms.items():
-        for w1, w2, w3, m in word_triples(w):
-            yield (AlgebroidElement.from_forest(w1, f.scale(m)),
-                   AlgebroidElement.from_forest(w2),
-                   AlgebroidElement.from_forest(w3))
+def braid_pair(x: AlgebroidElement, y: AlgebroidElement) -> TensorElement:
+    """Braiding of an explicit element pair, slot aware.
+
+    The right factor's coefficients meet the derivations of the left
+    factor's leading splitting leg:  (f . w) (x) (g . v)  goes to
+    sum  f . (w1 -> g) . r(w2 (x) v).  Matches ``braid_r`` on tensors
+    whose right factor is pure.
+    """
+    return TensorElement(_smash(x, y, _braid_words))
 
 
 def braid_expansion(
     x: AlgebroidElement, y: AlgebroidElement,
 ) -> list[tuple[AlgebroidElement, AlgebroidElement]]:
-    """The braiding of an explicit element pair, slot aware.
-
-    Each factor's coefficient enters through that factor's leading
-    splitting leg, so right-factor coefficients meet the derivations in
-    x1 > y1.  Returns the unpooled list of output pairs; compare results
-    through :func:`reduce_pairs`.
-    """
-    out: list[tuple[AlgebroidElement, AlgebroidElement]] = []
-    for x1, x2, x3 in sweedler_triples(x):
-        for y1, y2, y3 in sweedler_triples(y):
-            left = triangle(x1, y1)
-            if left.is_zero():
-                continue
-            mid = triangle(x2, y2)
-            if mid.is_zero():
-                continue
-            out.append((left, gl_product(gl_product(theta(mid), x3), y3)))
-    return out
-
-
-def braid_pair(x: AlgebroidElement, y: AlgebroidElement) -> TensorElement:
-    """Braiding of an explicit element pair, pooled to a tensor.
-
-    Matches ``braid_r`` on tensors whose right factor is pure.
-    """
-    acc: dict[_Pair, CoeffPoly] = {}
-    for left, right in braid_expansion(x, y):
-        for a, fa in left.terms.items():
-            for b, fb in right.terms.items():
-                _pair_accumulate(acc, (a, b), fa * fb)
-    return TensorElement(acc)
+    """The terms of ``braid_pair`` as element pairs (c . a, b), with each
+    pair coefficient on its left factor; compare sums of pairs through
+    :func:`reduce_pairs`."""
+    return [(AlgebroidElement.from_forest(a, c), AlgebroidElement.from_forest(b))
+            for (a, b), c in braid_pair(x, y).terms.items()]
 
 
 def reduce_pairs(
@@ -187,25 +146,25 @@ def reduce_pairs(
     acc: dict[_Pair, CoeffPoly] = {}
     for a, b in pairs:
         for w, c in a.terms.items():
+            act = _Derivatives(c).act
             for w1, w2, m in word_splits(w):
-                g = word_action(gl_antipode_word(w2), c)
+                g = act(gl_antipode_word(w2))
                 if g.is_zero():
                     continue
                 g = g.scale(m)
                 for v, d in b.terms.items():
-                    _pair_accumulate(acc, (w1, v), g * d)
+                    _accumulate(acc, (w1, v), g * d)
     return acc
 
 
 def multiply_tensor(t: TensorElement) -> AlgebroidElement:
-    """Collapse a tensor with the gl product; the pair coefficient enters
-    through the left factor, where it factors out again."""
+    """Collapse a tensor with the gl product, linear over the pair
+    coefficient."""
     acc: dict[Forest, CoeffPoly] = {}
     for (w, v), c in t.terms.items():
-        prod = gl_product(AlgebroidElement.from_forest(w, c),
-                          AlgebroidElement.from_forest(v))
-        for u, p in prod.terms.items():
-            _accumulate(acc, u, p)
+        _guard(w.grade + v.grade)
+        for u, m in _gl_words(w, v).items():
+            _accumulate(acc, u, c.scale(m))
     return AlgebroidElement._raw(acc)
 
 
@@ -214,14 +173,6 @@ def multiply_tensor(t: TensorElement) -> AlgebroidElement:
 
 
 _Quad = tuple[Forest, Forest, Forest, Forest]
-
-
-def _quad_bump(acc: dict[_Quad, Fraction], key: _Quad, c: Fraction) -> None:
-    n = acc.get(key, Fraction(0)) + c
-    if n:
-        acc[key] = n
-    else:
-        acc.pop(key, None)
 
 
 def _coproduct_compatible(x: AlgebroidElement, y: AlgebroidElement) -> bool:
@@ -233,7 +184,7 @@ def _coproduct_compatible(x: AlgebroidElement, y: AlgebroidElement) -> bool:
         cv = c.constant_value()
         for a1, a2, m1 in word_splits(a):
             for b1, b2, m2 in word_splits(b):
-                _quad_bump(lhs, (a1, b1, a2, b2), cv * m1 * m2)
+                _bump(lhs, (a1, b1, a2, b2), cv * m1 * m2)
     rhs: dict[_Quad, Fraction] = {}
     for w, f in x.terms.items():
         for v, g in y.terms.items():
@@ -243,7 +194,7 @@ def _coproduct_compatible(x: AlgebroidElement, y: AlgebroidElement) -> bool:
                     k = c * m1 * m2
                     for (p, q), k1 in _braid_words(x1, y1).items():
                         for (s, t), k2 in _braid_words(x2, y2).items():
-                            _quad_bump(rhs, (p, q, s, t), k * k1 * k2)
+                            _bump(rhs, (p, q, s, t), k * k1 * k2)
     return lhs == rhs
 
 
@@ -261,7 +212,7 @@ def _left_product_rule(x: AlgebroidElement, y: AlgebroidElement,
         inner = braid_r(TensorElement.of(x, AlgebroidElement.from_forest(p, c1)))
         for (s, t), c2 in inner.terms.items():
             for u, m in _gl_words(t, q).items():
-                _pair_accumulate(acc, (s, u), c2.scale(m))
+                _accumulate(acc, (s, u), c2.scale(m))
     return lhs == TensorElement(acc)
 
 
@@ -274,7 +225,7 @@ def _right_product_rule(x: AlgebroidElement, y: AlgebroidElement,
         inner = braid_r(TensorElement.of(AlgebroidElement.from_forest(q, c1), z))
         for (s, t), c2 in inner.terms.items():
             for u, m in _gl_words(p, s).items():
-                _pair_accumulate(acc, (u, t), c2.scale(m))
+                _accumulate(acc, (u, t), c2.scale(m))
     return lhs == TensorElement(acc)
 
 

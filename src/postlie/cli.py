@@ -49,6 +49,13 @@ UNARY_MAX_GRADE = 10
 # Their cost follows the left word's letter count: o^10 by o takes 3.5 s
 # in a fresh process, o^11 by o 10 to 12 s and o^10 by o^4 about 30 s.
 BINARY_MAX_GRADE = 11
+# Largest number of terms in each operand, for every op.  The grade bounds
+# hold per term, so cost also grows with the term count.  In a fresh
+# process on a 2-core VM, theta or the antipode of o^10 takes 3.2 s, of
+# the sum of the 4 longest grade-10 words 4.0 to 4.8 s, of the 5 longest
+# 5.4 to 6.0 s and of the 8 longest 7.5 to 8 s; gl and triangle on 4-term
+# operands of total grade 11 stay under 4.2 s.
+MAX_OPERAND_TERMS = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,13 +155,21 @@ def _cmd_trees(args) -> int:
     return 0
 
 
+def _parse_operand(op: str, side: str, text: str) -> AlgebroidElement:
+    x = parse_element(text)
+    if len(x.terms) > MAX_OPERAND_TERMS:
+        raise CapacityError(f"--op {op} --{side} has {len(x.terms)} terms, "
+                            f"exceeds bound {MAX_OPERAND_TERMS}")
+    return x
+
+
 def _cmd_algebra_eval(args) -> int:
     seed = _resolve(args, "seed", 0, int)
-    left = parse_element(args.left)
+    left = _parse_operand(args.op, "left", args.left)
     if args.op in BINARY_OPS:
         if args.right is None:
             raise ConfigurationError(f"--op {args.op} needs --right")
-        right = parse_element(args.right)
+        right = _parse_operand(args.op, "right", args.right)
         total = left.max_grade() + right.max_grade()
         if args.op != "concat" and total > BINARY_MAX_GRADE:
             raise CapacityError(f"--op {args.op} total operand grade {total} "

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from postlie.algebroid import (
     AlgebroidElement,
@@ -29,6 +30,7 @@ from postlie.trees import (
     EMPTY_FOREST,
     Forest,
     LEAF,
+    PlanarTree,
     enumerate_forests,
     graft_into_forest,
     parse_forest,
@@ -49,9 +51,26 @@ G = CoeffPoly.generator("g")
 # -- element plumbing
 
 
-def test_parse_dump_round_trip():
-    x = el("2/3 [o] o + -1 o + 5 1")
+trees = st.recursive(
+    st.just(LEAF),
+    lambda kids: st.lists(kids, min_size=1, max_size=3).map(
+        lambda ch: PlanarTree(tuple(ch))
+    ),
+    max_leaves=6,
+)
+forests = st.lists(trees, max_size=3).map(lambda ts: Forest(tuple(ts)))
+rational_sums = st.lists(st.tuples(st.fractions(), forests), max_size=5).map(
+    lambda terms: sum((AlgebroidElement.from_forest(w, c) for c, w in terms),
+                      AlgebroidElement.zero()))
+
+
+@given(rational_sums)
+@example(el("2/3 [o] o + -1 o + 5 1"))
+def test_parse_dump_round_trip(x):
     assert parse_element(x.dump().replace("\n", " + ").replace(" | ", " ")) == x
+
+
+def test_parse_coefficient_spellings():
     # The coefficient may be followed by '*', with or without spaces.
     for text in ("2/3*[o] o", "2/3 *[o] o", "2/3* [o] o", "2/3 * [o] o"):
         assert el(text) == el("2/3 [o] o")

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from postlie.algebroid import AlgebroidElement, TensorElement, gl_product, parse_element
+from postlie.algebroid import (
+    AlgebroidElement,
+    TensorElement,
+    gl_product,
+    parse_element,
+    theta,
+    triangle,
+    word_triples,
+)
 from postlie.braiding import (
     braid_expansion,
     braid_pair,
@@ -13,6 +22,7 @@ from postlie.braiding import (
     multiply_tensor,
     reduce_pairs,
 )
+from postlie.checks import _dress, basis_tuples, random_element
 from postlie.coeffs import CoeffPoly
 from postlie.trees import EMPTY_FOREST, enumerate_forests, parse_forest
 
@@ -92,6 +102,37 @@ def test_expansion_pools_to_pair():
     for left, right in braid_expansion(x, y):
         rebuilt = rebuilt + TensorElement.of(left, right)
     assert rebuilt == pooled
+
+
+def reference_braid_pairs(x: AlgebroidElement, y: AlgebroidElement):
+    """r(x (x) y) = sum (x1 > y1) (x) theta(x2 > y2) * x3 * y3 straight from
+    the definition, uncached and unpooled: each factor's coefficient rides
+    the first leg of its three-way unshuffle splittings."""
+    def legs(z):
+        for w, f in z.terms.items():
+            for w1, w2, w3, m in word_triples(w):
+                yield (AlgebroidElement.from_forest(w1, f.scale(m)),
+                       AlgebroidElement.from_forest(w2),
+                       AlgebroidElement.from_forest(w3))
+
+    return [
+        (triangle(x1, y1), gl_product(gl_product(theta(triangle(x2, y2)), x3), y3))
+        for x1, x2, x3 in legs(x)
+        for y1, y2, y3 in legs(y)
+    ]
+
+
+def test_braid_pair_matches_definition():
+    rng = random.Random(5)
+    cases = [(_dress(rng, w, True), _dress(rng, v, True)) for w, v in basis_tuples(3, 2)]
+    cases += [(random_element(rng, 3), random_element(rng, 3)) for _ in range(150)]
+    for x, y in cases:
+        pairs = reference_braid_pairs(x, y)
+        pooled = TensorElement.zero()
+        for left, right in pairs:
+            pooled = pooled + TensorElement.of(left, right)
+        assert braid_pair(x, y) == pooled, (x, y)
+        assert reduce_pairs(braid_expansion(x, y)) == reduce_pairs(pairs), (x, y)
 
 
 def test_check_braiding_small():

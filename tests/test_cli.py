@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from postlie import checks
-from postlie.cli import BINARY_OPS, UNARY_OPS, main
+from postlie.cli import BINARY_OPS, MAX_OPERAND_TERMS, UNARY_OPS, main
+from postlie.trees import forests_of_grade
 
 
 def run(capsys, *argv):
@@ -200,6 +201,15 @@ def test_algebra_eval_exit_contract(op, left, right):
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
 
 
+def _sum_of_words(n: int) -> str:
+    """The sum of the first n distinct forests in order of grade."""
+    words = (w.encoding for g in range(9) for w in forests_of_grade(g))
+    return " + ".join(next(words) for _ in range(n))
+
+
+TOO_MANY = _sum_of_words(MAX_OPERAND_TERMS + 1)
+
+
 @pytest.mark.parametrize("argv", [
     ("algebra", "check", "--suite", "gl", "--max-grade", "9"),
     ("algebra", "check", "--suite", "braiding", "--max-grade", "7"),
@@ -212,12 +222,25 @@ def test_algebra_eval_exit_contract(op, left, right):
      "--right", "o"),
     ("algebra", "eval", "--op", "gl", "--left", " ".join(["o"] * 8),
      "--right", " ".join(["o"] * 8)),
+    ("algebra", "eval", "--op", "theta", "--left", TOO_MANY),
+    ("algebra", "eval", "--op", "antipode", "--left", TOO_MANY),
+    ("algebra", "eval", "--op", "gl", "--left", "o", "--right", TOO_MANY),
+    ("algebra", "eval", "--op", "triangle", "--left", TOO_MANY, "--right", "o"),
+    ("algebra", "eval", "--op", "concat", "--left", _sum_of_words(2000),
+     "--right", _sum_of_words(2000)),
 ])
 def test_capacity_bounds_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_operand_term_bound_admits_its_value(capsys):
+    code, out, _ = run(capsys, "algebra", "eval", "--op", "concat",
+                       "--left", _sum_of_words(MAX_OPERAND_TERMS), "--right", "o")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + MAX_OPERAND_TERMS
 
 
 # -- series
