@@ -53,7 +53,7 @@ BINARY_MAX_GRADE = 11
 # hold per term, so cost also grows with the term count.  In a fresh
 # process on a 2-core VM, theta or the antipode of o^10 takes 3.2 s, of
 # the sum of the 4 longest grade-10 words 4.0 to 4.8 s, of the 5 longest
-# 5.4 to 6.0 s and of the 8 longest 7.5 to 8 s; gl and triangle on 4-term
+# 5.4 to 6.0 s and of the 8 longest 6.4 to 8.1 s; gl and triangle on 4-term
 # operands of total grade 11 stay under 4.2 s.
 MAX_OPERAND_TERMS = 4
 

@@ -30,7 +30,6 @@ from postlie.trees import (
     EMPTY_FOREST,
     Forest,
     LEAF,
-    PlanarTree,
     enumerate_forests,
     graft_into_forest,
     parse_forest,
@@ -51,15 +50,9 @@ G = CoeffPoly.generator("g")
 # -- element plumbing
 
 
-trees = st.recursive(
-    st.just(LEAF),
-    lambda kids: st.lists(kids, min_size=1, max_size=3).map(
-        lambda ch: PlanarTree(tuple(ch))
-    ),
-    max_leaves=6,
-)
-forests = st.lists(trees, max_size=3).map(lambda ts: Forest(tuple(ts)))
-rational_sums = st.lists(st.tuples(st.fractions(), forests), max_size=5).map(
+rational_sums = st.lists(
+    st.tuples(st.fractions(), st.sampled_from(enumerate_forests(5))), max_size=5,
+).map(
     lambda terms: sum((AlgebroidElement.from_forest(w, c) for c, w in terms),
                       AlgebroidElement.zero()))
 
