@@ -45,11 +45,17 @@ non-empty word kills constants, so pure terms take the kernel alone.
 ``_smash`` is that one loop.  It has three clients: ``triangle``,
 ``gl_product`` and ``braiding.braid_pair``, whose kernel ``_braid_words``
 maps a word pair to word pairs.
+
+Pure elements, whose coefficients are all rational constants, never
+leave the integers: ``_smash`` and ``gl_antipode`` scale each pure
+operand by the lcm of its denominators, sum the kernel multiplicities as
+plain ``int`` per output word, and divide once per word at the end.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Union
@@ -409,6 +415,29 @@ def _triangle_words(w: Forest, v: Forest) -> dict[Forest, int]:
     return acc
 
 
+def _numerators(a: AlgebroidElement) -> tuple[list[tuple[Forest, int]], int] | None:
+    """A pure element as integer numerators over the lcm of its
+    denominators, or None when some coefficient is not a constant."""
+    scalars = []
+    for w, f in a.terms.items():
+        c = f.terms.get(())
+        if c is None or len(f.terms) != 1:
+            return None
+        scalars.append((w, c))
+    d = math.lcm(*(c.denominator for _, c in scalars))
+    return [(w, c.numerator * (d // c.denominator)) for w, c in scalars], d
+
+
+def _over(acc: dict[Hashable, int], d: int) -> dict[Hashable, CoeffPoly]:
+    """Nonzero integer numerators over the common denominator d, as
+    constant coefficients: ``int`` when integral, ``Fraction`` otherwise."""
+    out: dict[Hashable, CoeffPoly] = {}
+    for u, n in acc.items():
+        q, r = divmod(n, d)
+        out[u] = CoeffPoly._raw({(): Fraction(n, d) if r else q})
+    return out
+
+
 def _smash(a: AlgebroidElement, b: AlgebroidElement,
            kernel: Callable[[Forest, Forest], dict[Hashable, int]],
            ) -> dict[Hashable, CoeffPoly]:
@@ -420,9 +449,24 @@ def _smash(a: AlgebroidElement, b: AlgebroidElement,
     over unshuffle splittings of w, with ``kernel`` the pure-word form of
     the operation; its keys are words, or word pairs for the braiding.  A
     non-empty word kills constants, so a constant g takes the empty split
-    alone: one kernel lookup and no splitting.  Returns the term dict,
-    which holds no zero coefficient.
+    alone: one kernel lookup and no splitting.  When both operands are
+    pure, every term is such a pair, and the loop runs on the integer
+    numerators of ``_numerators``, dividing once per output key by the
+    product of the two common denominators.  Returns the term dict, which
+    holds no zero coefficient.
     """
+    pa = _numerators(a)
+    pb = _numerators(b) if pa is not None else None
+    if pb is not None:
+        (xs, da), (ys, db) = pa, pb
+        sums: dict[Hashable, int] = {}
+        for w, x in xs:
+            for v, y in ys:
+                _guard(w.grade + v.grade)
+                xy = x * y
+                for u, m in kernel(w, v).items():
+                    _bump(sums, u, xy * m)
+        return _over(sums, da * db)
     acc: dict[Hashable, CoeffPoly] = {}
     for w, f in a.terms.items():
         for v, g in b.terms.items():
@@ -501,15 +545,16 @@ def gl_antipode(a: AlgebroidElement) -> AlgebroidElement:
     Only correct on pure elements; coefficient-carrying elements go
     through ``theta``.
     """
-    acc: dict[Forest, CoeffPoly] = {}
-    for w, f in a.terms.items():
-        if not f.is_constant():
-            raise ValueError("gl_antipode is defined on pure elements; use theta")
+    pure = _numerators(a)
+    if pure is None:
+        raise ValueError("gl_antipode is defined on pure elements; use theta")
+    xs, d = pure
+    sums: dict[Forest, int] = {}
+    for w, x in xs:
         _guard(w.grade)
-        c = f.constant_value()
         for v, m in gl_antipode_word(w).items():
-            _accumulate(acc, v, CoeffPoly.scalar(m * c))
-    return AlgebroidElement._raw(acc)
+            _bump(sums, v, x * m)
+    return AlgebroidElement._raw(_over(sums, d))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ def _resolve(args: argparse.Namespace, key: str, default, cast=None):
     return default
 
 
+def _size(args: argparse.Namespace, key: str, default):
+    """A count or bound: flag, else config value, else default; never
+    negative."""
+    val = _resolve(args, key, default, int)
+    if val is not None and val < 0:
+        raise ConfigurationError(f"--{key.replace('_', '-')} must be nonnegative, got {val}")
+    return val
+
+
 def _header(parts: dict) -> str:
     body = " ".join(f"{k}={v}" for k, v in parts.items())
     return f"# postlie {body}"
@@ -145,7 +154,7 @@ def _emit(text: str) -> None:
 
 
 def _cmd_trees(args) -> int:
-    grade = _resolve(args, "max_grade", 3, int)
+    grade = _size(args, "max_grade", 3)
     seed = _resolve(args, "seed", 0, int)
     forests = enumerate_forests(grade)
     _emit(_header({"command": "trees-enumerate", "max-grade": grade,
@@ -190,11 +199,10 @@ def _cmd_algebra_eval(args) -> int:
 
 def _cmd_algebra_check(args) -> int:
     suite = SUITES[args.suite]
-    given = {}
-    for key in ("max_grade", "samples", "seed"):
-        val = _resolve(args, key, None, int)
-        if val is not None:
-            given[key] = val
+    given = {"max_grade": _size(args, "max_grade", None),
+             "samples": _size(args, "samples", None),
+             "seed": _resolve(args, "seed", None, int)}
+    given = {key: val for key, val in given.items() if val is not None}
     # Run before printing anything, so a capacity error leaves stdout empty.
     reports = suite(**given)
     # Sizes not given are the suite's own defaults.
@@ -214,7 +222,7 @@ def _cmd_algebra_check(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    order = _resolve(args, "order", 3, int)
+    order = _size(args, "order", 3)
     seed = _resolve(args, "seed", 0, int)
     if args.action == "gl-exp":
         series = exp_gl(field_series(order), order)
@@ -240,7 +248,7 @@ def _cmd_experiment(args) -> int:
         field=_resolve(args, "field", "q33-curl"),
         t_grid=geometric_grid(_resolve(args, "t_min", 1e-3, float),
                               _resolve(args, "t_max", 1e-1, float),
-                              _resolve(args, "t_points", 8, int)),
+                              _size(args, "t_points", 8)),
         base_point=_resolve(args, "base_point", "random"),
         derivatives=_resolve(args, "derivatives", "analytic"),
         seed=_resolve(args, "seed", 0, int),

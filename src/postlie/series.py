@@ -3,7 +3,9 @@
 A series stores one homogeneous element per t-degree: the element at
 degree k must have every term of combined grade k (word grade plus
 coefficient degree), which makes t bookkeeping redundant and keeps all
-arithmetic exact.  Products truncate at the stated order.
+arithmetic exact.  Products truncate at the stated order.  The public
+constructor checks that grading; sums, negation, scaling, truncation and
+products keep it by construction and build their results unchecked.
 
 The module provides the two exponentials (Grossman-Larson and
 concatenation), the Grossman-Larson logarithm used for backward error
@@ -59,6 +61,16 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = clean
 
+    @classmethod
+    def _raw(cls, order: int,
+             coeffs: dict[int, AlgebroidElement]) -> "TruncatedSeries":
+        """Internal: every key in 0..order holds a nonzero element that is
+        homogeneous of that grade.  Takes ownership of the dict."""
+        out = object.__new__(cls)
+        out.order = order
+        out.coeffs = coeffs
+        return out
+
     # -- constructors
 
     @staticmethod
@@ -88,25 +100,34 @@ class TruncatedSeries:
             if k > order:
                 continue
             cur = acc.get(k)
-            acc[k] = x if cur is None else cur + x
-        return TruncatedSeries(order, acc)
+            if cur is None:
+                acc[k] = x
+            else:
+                cur = cur + x
+                if cur.is_zero():
+                    del acc[k]
+                else:
+                    acc[k] = cur
+        return TruncatedSeries._raw(order, acc)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, {k: -x for k, x in self.coeffs.items()})
+        return TruncatedSeries._raw(self.order, {k: -x for k, x in self.coeffs.items()})
 
     def scale(self, c: Scalar) -> "TruncatedSeries":
         c = Fraction(c)
         if not c:
             return TruncatedSeries(self.order)
-        return TruncatedSeries(self.order,
-                               {k: x.scale(c) for k, x in self.coeffs.items()})
+        return TruncatedSeries._raw(self.order,
+                                    {k: x.scale(c) for k, x in self.coeffs.items()})
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(order,
-                               {k: x for k, x in self.coeffs.items() if k <= order})
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return TruncatedSeries._raw(
+            order, {k: x for k, x in self.coeffs.items() if k <= order})
 
     # -- comparison, display
 
@@ -135,8 +156,10 @@ class TruncatedSeries:
 
 
 def field_series(order: int) -> TruncatedSeries:
-    """t . o: the bare single-vertex field as a degree-1 series."""
-    return TruncatedSeries(order, {1: AlgebroidElement.from_forest(single(LEAF))})
+    """t . o: the bare single-vertex field as a degree-1 series, truncated
+    at ``order`` (the zero series at order 0)."""
+    field = TruncatedSeries(1, {1: AlgebroidElement.from_forest(single(LEAF))})
+    return field.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +184,7 @@ def _series_product(a: TruncatedSeries, b: TruncatedSeries, mul: _Mul,
                 continue
             cur = acc.get(k)
             acc[k] = p if cur is None else cur + p
-    return TruncatedSeries(order, {k: v for k, v in acc.items() if not v.is_zero()})
+    return TruncatedSeries._raw(order, {k: v for k, v in acc.items() if not v.is_zero()})
 
 
 def _exp(x: TruncatedSeries, order: int, mul: _Mul) -> TruncatedSeries:

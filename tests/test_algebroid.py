@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from postlie.algebroid import (
     AlgebroidElement,
+    _triangle_words,
     antipode_concat,
     concat_mul,
     coproduct,
@@ -30,6 +32,7 @@ from postlie.trees import (
     EMPTY_FOREST,
     Forest,
     LEAF,
+    PlanarTree,
     enumerate_forests,
     graft_into_forest,
     parse_forest,
@@ -329,6 +332,103 @@ def test_coefficient_path_matches_reference():
         x = AlgebroidElement.from_forest(w)
         assert word_action({w: 1}, G) == counit(_ref_triangle(x, AlgebroidElement.iota(G)))
         assert word_action({w: 1}, G) == counit(triangle(x, AlgebroidElement.iota(G)))
+
+
+# -- integer path for pure operands
+
+
+def _assert_int_iff_integral(x: AlgebroidElement) -> None:
+    for f in x.terms.values():
+        for c in f.terms.values():
+            assert c != 0
+            assert (type(c) is int) == (Fraction(c).denominator == 1), c
+
+
+def _pure(rng: random.Random, words, n: int) -> AlgebroidElement:
+    """n terms whose denominators are drawn so that their lcm exceeds each."""
+    x = AlgebroidElement.zero()
+    for _ in range(n):
+        c = Fraction(rng.choice((-7, -5, -3, -1, 1, 2, 5, 6)), rng.choice((1, 4, 6, 10, 15)))
+        x = x + AlgebroidElement.from_forest(rng.choice(words), c)
+    return x
+
+
+def test_pure_integer_path_matches_reference():
+    rng = random.Random(11)
+    words = enumerate_forests(3)
+    # o > o = [o] and [o] > o = [[o]] against o > [o] = [[o]] + [oo]: the
+    # [[o]] terms cancel exactly, 1/4 * 5/6 - 5/6 * 1/4 = 0.
+    a = el("1/4 o + -5/6 [o]")
+    b = el("5/6 [o] + 1/4 o")
+    cases = [(a, b), (b, a), (el("1/4 o"), el("5/6 o o"))]
+    cases += [(_pure(rng, words, rng.randint(1, 3)), _pure(rng, words, rng.randint(1, 3)))
+              for _ in range(120)]
+    # Pure against dressed, in both orders.
+    for _ in range(40):
+        x = _pure(rng, words, rng.randint(1, 3))
+        y = random_element(rng, 3)
+        cases += [(x, y), (y, x)]
+    for x, y in cases:
+        got = triangle(x, y)
+        assert got == _ref_triangle(x, y), (x, y)
+        _assert_int_iff_integral(got)
+        got = gl_product(x, y)
+        assert got == _ref_gl(x, y), (x, y)
+        _assert_int_iff_integral(got)
+    assert parse_forest("[[o]]") not in triangle(a, b).terms
+
+
+def test_pure_integer_antipode():
+    # S(o o) = 2 [o] + o o and S([o]) = -[o]: the [o] terms cancel.
+    assert gl_antipode(el("1/4 o o + 1/2 [o]")) == el("1/4 o o")
+    rng = random.Random(12)
+    words = enumerate_forests(4)
+    for _ in range(100):
+        x = _pure(rng, words, rng.randint(1, 4))
+        got = gl_antipode(x)
+        want = AlgebroidElement.zero()
+        for w, f in x.terms.items():
+            want = want + gl_antipode(AlgebroidElement.from_forest(w)).scale(
+                f.constant_value())
+        assert got == want == theta(x)
+        _assert_int_iff_integral(got)
+        assert gl_antipode(got) == x
+
+
+# -- closed-form grafting
+
+
+def _closed_form_graft(w: Forest, v: Forest) -> dict[Forest, int]:
+    """w > v as the sum over all maps of the letters of w to the vertices
+    of v: each letter becomes a new leftmost child of its vertex, and the
+    letters sent to one vertex keep their order in w.  No memo and no
+    signed cancellation."""
+    def paths(t, path):
+        yield path
+        for j, c in enumerate(t.children):
+            yield from paths(c, path + (j,))
+
+    def rebuild(t, path, extra):
+        children = tuple(rebuild(c, path + (j,), extra) for j, c in enumerate(t.children))
+        return PlanarTree(tuple(extra.get(path, ())) + children)
+
+    vertices = [p for i, t in enumerate(v.trees) for p in paths(t, (i,))]
+    out: dict[Forest, int] = {}
+    for targets in itertools.product(vertices, repeat=len(w)):
+        extra: dict[tuple, list] = {}
+        for letter, p in zip(w.trees, targets):
+            extra.setdefault(p, []).append(letter)
+        u = Forest(tuple(rebuild(t, (i,), extra) for i, t in enumerate(v.trees)))
+        out[u] = out.get(u, 0) + 1
+    return out
+
+
+def test_triangle_words_matches_closed_form():
+    words = enumerate_forests(6)
+    pairs = [(w, v) for w in words for v in words if w.grade + v.grade <= 6]
+    for w, v in pairs:
+        assert _triangle_words(w, v) == _closed_form_graft(w, v), (w, v)
+    assert len(pairs) == 625
 
 
 # -- theta

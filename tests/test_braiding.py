@@ -135,6 +135,36 @@ def test_braid_pair_matches_definition():
         assert reduce_pairs(braid_expansion(x, y)) == reduce_pairs(pairs), (x, y)
 
 
+def test_braid_pair_pure_integer_path():
+    rng = random.Random(13)
+    words = enumerate_forests(3)
+
+    def pure(n):
+        # Denominators whose lcm exceeds each of them.
+        x = AlgebroidElement.zero()
+        for _ in range(n):
+            c = Fraction(rng.choice((-5, -1, 1, 3, 6)), rng.choice((1, 4, 6, 10)))
+            x = x + AlgebroidElement.from_forest(rng.choice(words), c)
+        return x
+
+    cases = [(el("1/4 o + -5/6 [o]"), el("5/6 [o] + 1/4 o")),
+             (el("1/4 o o"), el("5/6 o + 3/10 1"))]
+    cases += [(pure(rng.randint(1, 3)), pure(rng.randint(1, 3))) for _ in range(60)]
+    for _ in range(30):
+        x, y = pure(rng.randint(1, 2)), random_element(rng, 3)
+        cases += [(x, y), (y, x)]
+    for x, y in cases:
+        pooled = TensorElement.zero()
+        for left, right in reference_braid_pairs(x, y):
+            pooled = pooled + TensorElement.of(left, right)
+        got = braid_pair(x, y)
+        assert got == pooled, (x, y)
+        for f in got.terms.values():
+            for c in f.terms.values():
+                assert c != 0
+                assert (type(c) is int) == (Fraction(c).denominator == 1), c
+
+
 def test_check_braiding_small():
     reports = check_braiding(max_grade=2, samples=8, sample_grade=3, seed=1)
     assert reports

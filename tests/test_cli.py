@@ -201,6 +201,73 @@ def test_algebra_eval_exit_contract(op, left, right):
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
 
 
+def _command(head: list[str], sizes: dict, flags: dict) -> st.SearchStrategy:
+    """argv for one subcommand: every flag in ``sizes`` given, each one in
+    ``flags`` given or left out.  Each is passed as ``--flag=VALUE``, which
+    keeps argparse from reading a negative value as a flag."""
+    return st.fixed_dictionaries(sizes, optional=flags).map(
+        lambda given: [*head, *(f"--{k}={v}" for k, v in given.items())])
+
+
+# Sizes are always given and small, since cost grows fast with order,
+# grade and samples and the defaults are the gate sizes; negative values
+# and one far past every capacity bound are drawn too.
+SEED = st.integers(-2, 20)
+GRADE = st.integers(-3, 2) | st.just(99)
+ORDER = st.integers(-3, 4) | st.just(99)
+METHOD = st.sampled_from(("lie-euler", "aromatic"))
+
+COMMANDS = st.one_of(
+    _command(["trees", "enumerate"], {}, {"max-grade": GRADE, "seed": SEED}),
+    st.sampled_from(sorted(checks.SUITES)).flatmap(lambda suite: _command(
+        ["algebra", "check", "--suite", suite],
+        {"max-grade": GRADE, "samples": st.integers(-2, 3)}, {"seed": SEED})),
+    _command(["series", "gl-exp"], {"order": ORDER}, {"seed": SEED}),
+    _command(["series", "modified-field"], {"order": ORDER},
+             {"method": METHOD, "seed": SEED}),
+    st.sampled_from(("volume", "order")).flatmap(lambda kind: _command(
+        ["experiment", kind],
+        {"t-points": st.just(5),
+         "t-min": st.sampled_from(("1e-2", "2e-2", "0", "-1", "nan", "inf")),
+         "t-max": st.sampled_from(("1e-1", "5e-2", "1e-2"))},
+        {"method": METHOD,
+         "group": st.sampled_from(("so3", "se3")),
+         "field": st.sampled_from(("q33-curl", "none")),
+         "base-point": st.sampled_from(("random", "identity")),
+         "derivatives": st.sampled_from(("analytic", "fd")),
+         "threads": st.integers(-1, 2),
+         "seed": SEED})),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=COMMANDS)
+def test_every_subcommand_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("trees", "enumerate", "--max-grade=-3"),
+    ("algebra", "check", "--suite", "gl", "--samples=-1"),
+    ("algebra", "check", "--suite", "smash", "--max-grade=-1"),
+    ("series", "gl-exp", "--order=-1"),
+    ("series", "modified-field", "--method", "aromatic", "--order=-1"),
+    ("experiment", "volume", "--t-points=-5"),
+])
+def test_negative_sizes_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+    assert len(err.splitlines()) == 1
+
+
 def _sum_of_words(n: int) -> str:
     """The sum of the first n distinct forests in order of grade."""
     words = (w.encoding for g in range(9) for w in forests_of_grade(g))
@@ -260,6 +327,18 @@ def test_series_modified_field(capsys):
     )
     assert code == 0
     assert out.splitlines()[1:] == ["t^1 | 1 | o", "t^2 | -1/2 | [o]"]
+
+
+def test_series_order_zero(capsys):
+    # The field t.o has degree 1, so at order 0 it truncates to zero.
+    code, out, _ = run(capsys, "series", "gl-exp", "--order", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["t^0 | 1 | 1"]
+    code, out, _ = run(
+        capsys, "series", "modified-field", "--method", "lie-euler", "--order", "0"
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["0"]
 
 
 def test_series_unknown_method(capsys):
