@@ -28,9 +28,11 @@ from .trees import CapacityError, Forest, LEAF, PlanarTree, single
 DIV_AROMA = AromaGenerator("adiv", base_degree=2)
 
 #: Highest order the exponentials, the logarithm and the modified fields
-#: compute.  Cost grows steeply with the order: on a 2-vCPU VM
-#: ``series gl-exp`` takes about 8 s at order 10 and did not finish in
-#: 90 s at order 12.
+#: compute.  Cost grows steeply with the order: in a fresh process on a
+#: 2-vCPU VM, ``series gl-exp`` takes 1.6 to 2.3 s at order 10 and
+#: ``series modified-field --method lie-euler`` 7.4 to 10.3 s, most of
+#: the latter in element sums and scaling inside ``log_gl``; ``gl-exp``
+#: did not finish in 90 s at order 12.
 MAX_SERIES_ORDER = 10
 
 
