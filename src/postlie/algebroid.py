@@ -18,9 +18,7 @@ The structure maps:
 * ``gl_product``    the Grossman-Larson style product
                     x * y = concat(x1, triangle(x2, y)).
 * ``gl_antipode_word``  the antipode of the gl product on pure words,
-                    defined by the triangular recursion that makes
-                    sum concat-free splittings  x1 * S(x2)  collapse to
-                    the counit.
+                    computed from the concatenation antipode (below).
 * ``word_action``   the action of a combination of pure words on a bare
                     coefficient (what a forest does to a scalar function,
                     expressed in free derivations).
@@ -28,14 +26,23 @@ The structure maps:
                     elements through ``word_action``.
 
 On pure words, triangle and the gl product are integer kernels
-(``_triangle_words``, ``_gl_words``).  The triangle recursion on a word
-x X (first letter x, rest X) is
+(``_triangle_words``, ``_gl_words``).  A word acts on a product through
+the coproduct,  w > (y z) = sum (w1 > y)(w2 > z),  which is the
+post-Hopf axiom.  With every sum over the unshuffle splittings w1 (x) w2
+of w, and B+(c) the tree whose root has the children forest c:
 
-    (x X) > v  =  x > (X > v)  -  (x > X) > v
+    w > 1         =  counit(w)
+    w > B+(c)     =  sum  B+(w1 . (w2 > c))
+    w > (t . v')  =  sum  (w1 > t) . (w2 > v')     (t a single tree)
 
-with single trees grafting letterwise into v.  It strictly reduces the
-left grade, so it terminates; the kernels are memoised on pure words
-only.  Coefficients enter through the smash-product factorisation
+Each step shrinks the right operand and every multiplicity is positive,
+so nothing cancels.  The gl antipode follows from the concatenation
+antipode S(w) = (-1)^len(w) reversed(w):
+
+    S_gl(w)  =  S(w)  -  sum over w1 != 1 of  w1 > S_gl(w2).
+
+The kernels are memoised on pure words only.  Coefficients enter
+through the smash-product factorisation
 
     (f . w) > (g . v)  =  sum  f . (w1 -> g) . (w2 > v)
     (f . w) * (g . v)  =  sum  f . (w1 -> g) . (w2 * v)
@@ -67,7 +74,6 @@ from .trees import (
     Forest,
     MAX_OPERATION_GRADE,
     PlanarTree,
-    graft_into_forest,
     single,
 )
 
@@ -395,23 +401,30 @@ def _guard(total: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _triangle_words(w: Forest, v: Forest) -> dict[Forest, int]:
-    """w > v on pure words, as an integer combination.
+    """w > v on pure words, as an integer combination, by the three
+    rules of the module docstring: the counit on the empty forest, the
+    root rule on a single tree, the coproduct rule on a longer forest.
 
     The returned dict is cached and shared; callers must not mutate it.
     """
     if not w.trees:
         return {v: 1}
-    if len(w) == 1:
-        return graft_into_forest(w.trees[0], v)
-    x = single(w.trees[0])
-    rest = Forest(w.trees[1:])
+    if not v.trees:
+        return {}
     acc: dict[Forest, int] = {}
-    for u, m in _triangle_words(rest, v).items():
-        for z, k in _triangle_words(x, u).items():
-            _bump(acc, z, m * k)
-    for u, m in graft_into_forest(w.trees[0], rest).items():
-        for z, k in _triangle_words(u, v).items():
-            _bump(acc, z, -m * k)
+    if len(v) == 1:
+        c = Forest(v.trees[0].children)
+        for w1, w2, mult in word_splits(w):
+            for u, m in _triangle_words(w2, c).items():
+                _bump(acc, single(PlanarTree((w1 + u).trees)), mult * m)
+        return acc
+    t = single(v.trees[0])
+    rest = Forest(v.trees[1:])
+    for w1, w2, mult in word_splits(w):
+        right = _triangle_words(w2, rest)
+        for a, m in _triangle_words(w1, t).items():
+            for b, k in right.items():
+                _bump(acc, a + b, mult * m * k)
     return acc
 
 
@@ -522,19 +535,18 @@ def gl_product(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
 def gl_antipode_word(w: Forest) -> dict[Forest, int]:
     """Antipode of the gl product on a pure word, as an integer combination.
 
-    Defined grade by grade so that  sum  w1 * S(w2)  over all splittings
-    equals counit(w) . 1; the proper splittings only involve lower grade,
-    which makes the recursion triangular.  The returned dict is cached and
-    shared; callers must not mutate it.
+    Since  sum  w1 . (w2 > S_gl(w3))  =  counit(w) . 1,  the map
+    w -> sum  w1 > S_gl(w2)  is the concatenation antipode S, whence
+    S_gl(w) = S(w) - sum over w1 != 1 of  w1 > S_gl(w2); each w2 there
+    has fewer letters than w.  The returned dict is cached and shared;
+    callers must not mutate it.
     """
-    if not w.trees:
-        return {EMPTY_FOREST: 1}
-    acc: dict[Forest, int] = {w: -1}
+    acc: dict[Forest, int] = {Forest(w.trees[::-1]): -1 if len(w) % 2 else 1}
     for w1, w2, mult in word_splits(w):
-        if not w1.trees or not w2.trees:
+        if not w1.trees:
             continue
         for v, k in gl_antipode_word(w2).items():
-            for u, m in _gl_words(w1, v).items():
+            for u, m in _triangle_words(w1, v).items():
                 _bump(acc, u, -mult * k * m)
     return acc
 
@@ -566,7 +578,8 @@ def _kmap(w: Forest) -> tuple[tuple[int, tuple[PlanarTree, ...]], ...]:
     """The action of a pure word on coefficients, as an integer
     combination of derivation sequences (applied left to right).
 
-    Recursion:  (v X) -> f  =  v -> (X -> f)  -  (v > X) -> f.
+    Recursion:  (v X) -> f  =  v -> (X -> f)  -  (v > X) -> f,
+    with v > X the grafting kernel on the single tree v.
     """
     if not w.trees:
         return ((1, ()),)
@@ -576,7 +589,7 @@ def _kmap(w: Forest) -> tuple[tuple[int, tuple[PlanarTree, ...]], ...]:
     for c, seq in _kmap(rest):
         key = seq + (v,)
         acc[key] = acc.get(key, 0) + c
-    for u, m in graft_into_forest(v, rest).items():
+    for u, m in _triangle_words(single(v), rest).items():
         for c, seq in _kmap(u):
             acc[seq] = acc.get(seq, 0) - m * c
     return tuple(sorted(

@@ -56,6 +56,12 @@ BINARY_MAX_GRADE = 11
 # 5.4 to 6.0 s and of the 8 longest 6.4 to 8.1 s; gl and triangle on 4-term
 # operands of total grade 11 stay under 4.2 s.
 MAX_OPERAND_TERMS = 4
+# Largest ``algebra check --samples``, the largest suite default.  Sample
+# cost is heavy-tailed: timed in fresh processes on a 2-core VM,
+# degenerate at --max-grade 6 takes 5.3 s and 398 MB at 100 samples,
+# 7.9 s and 523 MB at 200, and 64 s and 3.3 GB at 400; axioms at
+# --max-grade 0 takes 8.6 s at 200 samples.
+MAX_SAMPLES = 200
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -203,6 +209,8 @@ def _cmd_algebra_check(args) -> int:
              "samples": _size(args, "samples", None),
              "seed": _resolve(args, "seed", None, int)}
     given = {key: val for key, val in given.items() if val is not None}
+    if given.get("samples", 0) > MAX_SAMPLES:
+        raise CapacityError(f"--samples {given['samples']} exceeds bound {MAX_SAMPLES}")
     # Run before printing anything, so a capacity error leaves stdout empty.
     reports = suite(**given)
     # Sizes not given are the suite's own defaults.

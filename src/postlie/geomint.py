@@ -13,7 +13,7 @@ scalar functions.  The pieces:
 * ``NumericCoeff``      coefficient function backed by a plain callable,
                         differentiated by high-order central differences.
 * ``FrameVectorField``  a field  sum_i f^i E_i  in frame coordinates.
-* evaluation            ``eval_tree`` / ``eval_forest_op`` / ``eval_aroma``
+* evaluation            ``eval_tree`` / ``forest_operator_fn`` / ``aroma_fn``
                         realize trees, words and aromas on the group.
 * steppers              plain and preprocessed geodesic (Lie-Euler) steps,
                         adaptive and fixed-step reference integrators.
@@ -695,11 +695,6 @@ def eval_tree(tau: PlanarTree, F: FrameVectorField, p) -> np.ndarray:
     return tree_field(tau, F).values(p)
 
 
-def eval_forest_op(omega: Forest, F: FrameVectorField, phi, p):
-    """Value of the frozen word operator of ``omega`` on phi at p."""
-    return forest_operator_fn(omega, F, phi).value(p)
-
-
 def aroma_fn(gen: AromaGenerator, F: FrameVectorField):
     """The scalar function of an aroma generator over F.
 
@@ -719,11 +714,6 @@ def aroma_fn(gen: AromaGenerator, F: FrameVectorField):
         acc = tree_field(tau, F).apply_to(acc)
     F._aroma_cache[gen] = acc
     return acc
-
-
-def eval_aroma(gen: AromaGenerator, F: FrameVectorField, p):
-    """Value of an aroma generator at p; the base one is  sum E_i[F[f^i]]."""
-    return aroma_fn(gen, F).value(p)
 
 
 def coeff_poly_value(c: CoeffPoly, F: FrameVectorField, Q):
@@ -791,20 +781,6 @@ def element_tangent_matrix(x: AlgebroidElement, F: FrameVectorField, Q) -> np.nd
         cv = coeff_poly_value(c, F, A)
         out = out + cv * _word_matrix_fn(F, w)(A)
     return out
-
-
-def element_operator_value(x: AlgebroidElement, F: FrameVectorField, phi, Q):
-    """Value at Q of the element acting on phi as a differential operator."""
-    A = np.asarray(Q)
-    total = None
-    for w, c in sorted(x.terms.items()):
-        cv = coeff_poly_value(c, F, A)
-        v = cv * forest_operator_fn(w, F, phi).value(A)
-        total = v if total is None else total + v
-    if total is None:
-        dt = A.dtype if A.dtype.kind == "f" else None
-        return dt.type(0) if dt is not None else Fraction(0)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything downstream is built on these: a canonical text encoding, a
 deterministic total order, enumeration by grade (vertex count), and the
 left-grafting magma product that makes the span of trees a free post-Lie
-algebra.
+algebra.  ``left_graft`` and ``graft_into_forest`` are plain uncached
+recursions: the algebra grafts through the memoised word kernel of
+``algebroid``, and these stay as its independent reference.
 
 Encodings::
 
@@ -275,35 +277,18 @@ def enumerate_forests(max_grade: int, bound: int = DEFAULT_MAX_GRADE) -> list[Fo
 # Left grafting
 
 
-@functools.lru_cache(maxsize=None)
-def _left_graft(tau: PlanarTree, sigma: PlanarTree) -> tuple[tuple[PlanarTree, int], ...]:
-    acc: dict[PlanarTree, int] = {}
-    rooted = PlanarTree((tau,) + sigma.children)
-    acc[rooted] = acc.get(rooted, 0) + 1
-    for i, child in enumerate(sigma.children):
-        for grafted, mult in _left_graft(tau, child):
-            t = PlanarTree(sigma.children[:i] + (grafted,) + sigma.children[i + 1:])
-            acc[t] = acc.get(t, 0) + mult
-    return tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
-
-
 def left_graft(tau: PlanarTree, sigma: PlanarTree) -> dict[PlanarTree, int]:
     """Sum over vertices v of sigma of "attach tau as new leftmost child of v".
 
     Returns an integer combination of trees; the total multiplicity is the
     vertex count of sigma.
     """
-    return dict(_left_graft(tau, sigma))
-
-
-@functools.lru_cache(maxsize=None)
-def _graft_into_forest(tau: PlanarTree, word: Forest) -> tuple[tuple[Forest, int], ...]:
-    acc: dict[Forest, int] = {}
-    for i, letter in enumerate(word.trees):
-        for grafted, mult in _left_graft(tau, letter):
-            f = Forest(word.trees[:i] + (grafted,) + word.trees[i + 1:])
-            acc[f] = acc.get(f, 0) + mult
-    return tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
+    acc = {PlanarTree((tau,) + sigma.children): 1}
+    for i, child in enumerate(sigma.children):
+        for grafted, mult in left_graft(tau, child).items():
+            t = PlanarTree(sigma.children[:i] + (grafted,) + sigma.children[i + 1:])
+            acc[t] = acc.get(t, 0) + mult
+    return acc
 
 
 def graft_into_forest(tau: PlanarTree, word: Forest) -> dict[Forest, int]:
@@ -311,4 +296,9 @@ def graft_into_forest(tau: PlanarTree, word: Forest) -> dict[Forest, int]:
 
     Empty word maps to the empty sum: grafting into no letters gives 0.
     """
-    return dict(_graft_into_forest(tau, word))
+    acc: dict[Forest, int] = {}
+    for i, letter in enumerate(word.trees):
+        for grafted, mult in left_graft(tau, letter).items():
+            f = Forest(word.trees[:i] + (grafted,) + word.trees[i + 1:])
+            acc[f] = acc.get(f, 0) + mult
+    return acc

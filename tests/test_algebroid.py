@@ -11,12 +11,14 @@ from hypothesis import example, given, strategies as st
 
 from postlie.algebroid import (
     AlgebroidElement,
+    _gl_words,
     _triangle_words,
     antipode_concat,
     concat_mul,
     coproduct,
     counit,
     gl_antipode,
+    gl_antipode_word,
     gl_product,
     parse_element,
     theta,
@@ -37,6 +39,7 @@ from postlie.trees import (
     graft_into_forest,
     parse_forest,
     single,
+    trees_of_size,
 )
 
 
@@ -429,6 +432,29 @@ def test_triangle_words_matches_closed_form():
     for w, v in pairs:
         assert _triangle_words(w, v) == _closed_form_graft(w, v), (w, v)
     assert len(pairs) == 625
+
+
+def test_triangle_words_grafts_single_trees():
+    # One letter grafts letterwise: the kernel against the trees layer.
+    pairs = [(x, v) for n in range(1, 9) for x in trees_of_size(n)
+             for v in enumerate_forests(8 - n, bound=8)]
+    for x, v in pairs:
+        assert _triangle_words(single(x), v) == graft_into_forest(x, v), (x, v)
+    assert len(pairs) == 2055
+
+
+def test_gl_antipode_word_is_convolution_inverse():
+    # sum  w1 * S_gl(w2)  =  counit(w) . 1, on every word of grade <= 7.
+    words = enumerate_forests(7, bound=7)
+    for w in words:
+        acc: dict[Forest, int] = {}
+        for w1, w2, mult in word_splits(w):
+            for v, k in gl_antipode_word(w2).items():
+                for u, m in _gl_words(w1, v).items():
+                    acc[u] = acc.get(u, 0) + mult * k * m
+        acc = {u: n for u, n in acc.items() if n}
+        assert acc == ({} if w.trees else {EMPTY_FOREST: 1}), w
+    assert len(words) == 626
 
 
 # -- theta

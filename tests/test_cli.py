@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from postlie import checks
-from postlie.cli import BINARY_OPS, MAX_OPERAND_TERMS, UNARY_OPS, main
+from postlie.cli import BINARY_OPS, MAX_OPERAND_TERMS, MAX_SAMPLES, UNARY_OPS, main
 from postlie.trees import forests_of_grade
 
 
@@ -295,6 +295,10 @@ TOO_MANY = _sum_of_words(MAX_OPERAND_TERMS + 1)
     ("algebra", "eval", "--op", "triangle", "--left", TOO_MANY, "--right", "o"),
     ("algebra", "eval", "--op", "concat", "--left", _sum_of_words(2000),
      "--right", _sum_of_words(2000)),
+    ("algebra", "check", "--suite", "smash", "--max-grade", "0",
+     "--samples", "100000000"),
+    ("algebra", "check", "--suite", "smash", "--max-grade", "0",
+     "--samples", str(MAX_SAMPLES + 1)),
 ])
 def test_capacity_bounds_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -308,6 +312,13 @@ def test_operand_term_bound_admits_its_value(capsys):
                        "--left", _sum_of_words(MAX_OPERAND_TERMS), "--right", "o")
     assert code == 0
     assert len(out.splitlines()) == 1 + MAX_OPERAND_TERMS
+
+
+def test_sample_bound_admits_its_value(capsys):
+    code, out, _ = run(capsys, "algebra", "check", "--suite", "smash",
+                       "--max-grade", "0", "--samples", str(MAX_SAMPLES))
+    assert code == 0
+    assert f"samples={MAX_SAMPLES}" in out.splitlines()[0]
 
 
 # -- series
