@@ -41,26 +41,28 @@ UNARY_OPS = {
     "theta": theta,
     "antipode": gl_antipode,
 }
-# Largest operand grade the unary ops take.  Their cost grows steeply with
-# grade: the slowest grade-10 words timed (o^10, o^8 [o], o^6 [o] [o])
-# take 2 to 3 s in a fresh process.
+# Largest operand grade the unary ops take.  Timed in fresh processes on
+# a 2-core VM, theta and the antipode of the grade-10 words o^10, [o] o^8,
+# o^6 [o] [o] and (o [o])^3 o take 0.5 to 0.65 s (0.9 to 1.5 s on the same
+# box before grafting went through the coproduct rule); o^11, one grade
+# above, takes 1.3 s (5.2 s).
 UNARY_MAX_GRADE = 10
 # Largest total operand grade, left plus right, that gl and triangle take.
-# Their cost follows the left word's letter count: o^10 by o takes 3.5 s
-# in a fresh process, o^11 by o 10 to 12 s and o^10 by o^4 about 30 s.
+# Same box: o^10 by o takes 0.1 s (1.1 s before), o^7 by o^4 0.1 s
+# (0.25 s), and o^10 by o^4, at total grade 14, 0.1 s (14 s and 0.9 GB).
 BINARY_MAX_GRADE = 11
 # Largest number of terms in each operand, for every op.  The grade bounds
-# hold per term, so cost also grows with the term count.  In a fresh
-# process on a 2-core VM, theta or the antipode of o^10 takes 3.2 s, of
-# the sum of the 4 longest grade-10 words 4.0 to 4.8 s, of the 5 longest
-# 5.4 to 6.0 s and of the 8 longest 6.4 to 8.1 s; gl and triangle on 4-term
-# operands of total grade 11 stay under 4.2 s.
+# hold per term, so cost also grows with the term count.  Same box: theta
+# or the antipode of o^10 takes 0.5 s (1.2 s before), of the sum of the 4
+# longest grade-10 words 0.85 s (1.7 to 1.8 s) and of the 5 longest 1.0 s
+# (1.9 s); gl and triangle on 4-term operands of total grade 11 take 0.2 s
+# (0.6 to 1.15 s).
 MAX_OPERAND_TERMS = 4
 # Largest ``algebra check --samples``, the largest suite default.  Sample
 # cost is heavy-tailed: timed in fresh processes on a 2-core VM,
 # degenerate at --max-grade 6 takes 5.3 s and 398 MB at 100 samples,
-# 7.9 s and 523 MB at 200, and 64 s and 3.3 GB at 400; axioms at
-# --max-grade 0 takes 8.6 s at 200 samples.
+# 7.9 s and 523 MB at 200, and 64 s and 3.3 GB at 400; in process,
+# axioms at --max-grade 0 takes 8.6 s at 200 samples.
 MAX_SAMPLES = 200
 
 
