@@ -56,7 +56,9 @@ maps a word pair to word pairs.
 Pure elements, whose coefficients are all rational constants, never
 leave the integers: ``_smash`` and ``gl_antipode`` scale each pure
 operand by the lcm of its denominators, sum the kernel multiplicities as
-plain ``int`` per output word, and divide once per word at the end.
+plain ``int`` per output word, and divide once per word at the end.  The
+integer loop of ``_smash`` is ``_smash_ints``, which the series layer
+shares.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Union
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Union
 
 from .coeffs import CoeffPoly, Scalar
 from .trees import (
@@ -432,12 +434,16 @@ def _numerators(a: AlgebroidElement) -> tuple[list[tuple[Forest, int]], int] | N
     """A pure element as integer numerators over the lcm of its
     denominators, or None when some coefficient is not a constant."""
     scalars = []
+    d = 1
     for w, f in a.terms.items():
         c = f.terms.get(())
         if c is None or len(f.terms) != 1:
             return None
         scalars.append((w, c))
-    d = math.lcm(*(c.denominator for _, c in scalars))
+        if type(c) is not int:
+            d = math.lcm(d, c.denominator)
+    if d == 1:
+        return scalars, 1
     return [(w, c.numerator * (d // c.denominator)) for w, c in scalars], d
 
 
@@ -449,6 +455,21 @@ def _over(acc: dict[Hashable, int], d: int) -> dict[Hashable, CoeffPoly]:
         q, r = divmod(n, d)
         out[u] = CoeffPoly._raw({(): Fraction(n, d) if r else q})
     return out
+
+
+def _smash_ints(xs: Iterable[tuple[Forest, int]], ys: Collection[tuple[Forest, int]],
+                kernel: Callable[[Forest, Forest], dict[Hashable, int]],
+                sums: dict[Hashable, int]) -> dict[Hashable, int]:
+    """The pure branch of ``_smash``: adds  sum x . y . kernel(w, v)  over
+    the integer terms (w, x) of xs and (v, y) of ys into ``sums`` and
+    returns it.  Every word pair passes ``_guard``."""
+    for w, x in xs:
+        for v, y in ys:
+            _guard(w.grade + v.grade)
+            xy = x * y
+            for u, m in kernel(w, v).items():
+                _bump(sums, u, xy * m)
+    return sums
 
 
 def _smash(a: AlgebroidElement, b: AlgebroidElement,
@@ -463,23 +484,16 @@ def _smash(a: AlgebroidElement, b: AlgebroidElement,
     the operation; its keys are words, or word pairs for the braiding.  A
     non-empty word kills constants, so a constant g takes the empty split
     alone: one kernel lookup and no splitting.  When both operands are
-    pure, every term is such a pair, and the loop runs on the integer
-    numerators of ``_numerators``, dividing once per output key by the
-    product of the two common denominators.  Returns the term dict, which
-    holds no zero coefficient.
+    pure, every term is such a pair, and the loop is ``_smash_ints`` on
+    the integer numerators of ``_numerators``, dividing once per output
+    key by the product of the two common denominators.  Returns the term
+    dict, which holds no zero coefficient.
     """
     pa = _numerators(a)
     pb = _numerators(b) if pa is not None else None
     if pb is not None:
         (xs, da), (ys, db) = pa, pb
-        sums: dict[Hashable, int] = {}
-        for w, x in xs:
-            for v, y in ys:
-                _guard(w.grade + v.grade)
-                xy = x * y
-                for u, m in kernel(w, v).items():
-                    _bump(sums, u, xy * m)
-        return _over(sums, da * db)
+        return _over(_smash_ints(xs, ys, kernel, {}), da * db)
     acc: dict[Hashable, CoeffPoly] = {}
     for w, f in a.terms.items():
         for v, g in b.terms.items():

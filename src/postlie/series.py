@@ -12,27 +12,53 @@ concatenation), the Grossman-Larson logarithm used for backward error
 analysis, flow composition, and the degree-3 preprocessed field whose
 aroma coefficient is the opaque generator ``DIV_AROMA``; its numeric
 meaning is supplied by the frame-evaluation layer.
+
+The exponentials and the logarithm are one power sum,
+sum weight(n) . z^n, with weights 1/n! and (-1)^(n+1)/n.  A series is
+pure when every degree has rational constant coefficients only.  Pure
+series, such as the field and the modified field of Lie-Euler, run in
+integers from input to output: each degree is held as integer numerators
+over one denominator, the powers go through the integer smash loop of
+the algebroid layer with the pure-word kernel of the product, a weight
+p/q multiplies the numerators by p and the denominator by q, and a sum
+of degrees works over the lcm of the two denominators and divides out
+the gcd.  Each output word takes one division, when the result becomes
+elements.  A series with any coefficient-carrying degree, such as the
+preprocessed field, runs the same loop on elements.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebroid import AlgebroidElement, concat_mul, gl_product
+from .algebroid import (
+    AlgebroidElement,
+    _bump,
+    _gl_words,
+    _numerators,
+    _over,
+    _smash_ints,
+    concat_mul,
+    gl_product,
+)
 from .coeffs import CoeffPoly, AromaGenerator, Scalar
-from .trees import CapacityError, Forest, LEAF, PlanarTree, single
+from .trees import CapacityError, EMPTY_FOREST, Forest, LEAF, PlanarTree, single
 
 #: Degree-2 aroma generator standing for the divergence of the applied
 #: field; purely symbolic here.
 DIV_AROMA = AromaGenerator("adiv", base_degree=2)
 
 #: Highest order the exponentials, the logarithm and the modified fields
-#: compute.  Cost grows steeply with the order: in a fresh process on a
-#: 2-vCPU VM, ``series gl-exp`` takes 1.6 to 2.3 s at order 10 and
-#: ``series modified-field --method lie-euler`` 7.4 to 10.3 s, most of
-#: the latter in element sums and scaling inside ``log_gl``; ``gl-exp``
-#: did not finish in 90 s at order 12.
+#: compute.  Cost grows about fourfold per order.  On a 2-vCPU VM with
+#: Python 3.11.7, in a fresh process, ``series modified-field --method
+#: lie-euler`` takes 0.80 s and 69 MB at order 10 (2.9 s and 92 MB when
+#: the series layer summed ``Fraction`` elements) and ``series gl-exp``
+#: 0.61 s and 63 MB.  In process, order 11 takes 2.5 s and 175 MB for
+#: lie-euler and 1.6 s and 147 MB for gl-exp, and each prints over 80,000
+#: lines.
 MAX_SERIES_ORDER = 10
 
 
@@ -166,18 +192,97 @@ def field_series(order: int) -> TruncatedSeries:
 
 # ---------------------------------------------------------------------------
 # Products, exponentials, logarithm
+#
+# Products and power sums run on one of two forms of a series, each a
+# dict from t-degree to a nonzero value: the element form holds the
+# ``AlgebroidElement``; the pure form, when every degree passes
+# ``_numerators``, holds (numerators, denominator) with the gcd divided
+# out, and becomes elements through ``_over``.
 
 
 _Mul = Callable[[AlgebroidElement, AlgebroidElement], AlgebroidElement]
+_Words = Callable[[Forest, Forest], dict[Forest, int]]
+_Pure = dict[int, tuple[dict[Forest, int], int]]
 
 
-def _series_product(a: TruncatedSeries, b: TruncatedSeries, mul: _Mul,
-                    order: int) -> TruncatedSeries:
+def _concat_words(w: Forest, v: Forest) -> dict[Forest, int]:
+    """Pure-word concatenation, the word kernel of ``concat_mul``."""
+    return {w + v: 1}
+
+
+def _pure(s: TruncatedSeries) -> _Pure | None:
+    """The pure form of s, or None when some degree is dressed."""
+    out: _Pure = {}
+    for k, x in s.coeffs.items():
+        p = _numerators(x)
+        if p is None:
+            return None
+        xs, d = p
+        out[k] = (dict(xs), d)
+    return out
+
+
+def _from_pure(order: int, p: _Pure) -> TruncatedSeries:
+    return TruncatedSeries._raw(order, {
+        k: AlgebroidElement._raw(_over(xs, d)) for k, (xs, d) in p.items()})
+
+
+def _store(acc: _Pure, k: int, xs: dict[Forest, int], d: int) -> None:
+    """acc[k] = xs / d with the gcd divided out; a degree that cancelled
+    to nothing is dropped."""
+    if not xs:
+        acc.pop(k, None)
+        return
+    g = math.gcd(d, *xs.values())
+    if g != 1:
+        xs = {w: x // g for w, x in xs.items()}
+        d //= g
+    acc[k] = (xs, d)
+
+
+def _pure_product(a: _Pure, b: _Pure, words: _Words, order: int) -> _Pure:
+    """Degreewise product of pure forms, truncated at ``order``: each
+    output degree sums its degree pairs through ``_smash_ints`` over the
+    lcm of the pairs' denominators."""
+    pairs: dict[int, list[tuple[dict[Forest, int], dict[Forest, int], int]]] = {}
+    for i, (xs, da) in a.items():
+        for j, (ys, db) in b.items():
+            if i + j <= order:
+                pairs.setdefault(i + j, []).append((xs, ys, da * db))
+    out: _Pure = {}
+    for k, terms in pairs.items():
+        d = math.lcm(*(e for _, _, e in terms))
+        sums: dict[Forest, int] = {}
+        for xs, ys, e in terms:
+            if e != d:
+                xs = {w: x * (d // e) for w, x in xs.items()}
+            _smash_ints(xs.items(), ys.items(), words, sums)
+        _store(out, k, sums, d)
+    return out
+
+
+def _add_pure(acc: _Pure, p: _Pure, c: Fraction) -> None:
+    """acc += c . p on pure forms, degree by degree over the lcm of the
+    two denominators."""
+    for k, (xs, d) in p.items():
+        d *= c.denominator
+        old, e = acc.get(k, ({}, d))
+        n = math.lcm(e, d)
+        sums = {w: x * (n // e) for w, x in old.items()}
+        m = c.numerator * (n // d)
+        for w, x in xs.items():
+            _bump(sums, w, x * m)
+        _store(acc, k, sums, n)
+
+
+def _element_product(a: dict[int, AlgebroidElement], b: dict[int, AlgebroidElement],
+                     mul: _Mul, order: int) -> dict[int, AlgebroidElement]:
+    """Degreewise product of element forms, truncated at ``order``."""
     acc: dict[int, AlgebroidElement] = {}
-    for i, x in a.coeffs.items():
+    for i, x in a.items():
         if i > order:
             continue
-        for j, y in b.coeffs.items():
+        for j, y in b.items():
             k = i + j
             if k > order:
                 continue
@@ -186,60 +291,88 @@ def _series_product(a: TruncatedSeries, b: TruncatedSeries, mul: _Mul,
                 continue
             cur = acc.get(k)
             acc[k] = p if cur is None else cur + p
-    return TruncatedSeries._raw(order, {k: v for k, v in acc.items() if not v.is_zero()})
+    return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def _exp(x: TruncatedSeries, order: int, mul: _Mul) -> TruncatedSeries:
+def _add_elements(acc: dict[int, AlgebroidElement], p: dict[int, AlgebroidElement],
+                  c: Fraction) -> None:
+    """acc += c . p on element forms."""
+    for k, x in p.items():
+        x = x.scale(c)
+        cur = acc.get(k)
+        if cur is not None:
+            x = cur + x
+        if x.is_zero():
+            del acc[k]
+        else:
+            acc[k] = x
+
+
+def _power_sum(z: TruncatedSeries, order: int, mul: _Mul, words: _Words,
+               weight: Callable[[int], Fraction], unit: bool) -> TruncatedSeries:
+    """[1 +] sum over n >= 1 of weight(n) . z^n, truncated at ``order``,
+    for z without constant term: the one loop behind the exponentials and
+    the logarithm.  z^n only reaches degrees >= n, so the sum is finite.
+    A pure z runs on the pure form with the word kernel ``words``; any
+    other z runs on the element form with the product ``mul``."""
+    pure = _pure(z)
+    if pure is None:
+        one = AlgebroidElement.unit()
+        product = functools.partial(_element_product, b=z.coeffs, mul=mul, order=order)
+        add = _add_elements
+    else:
+        one = ({EMPTY_FOREST: 1}, 1)
+        product = functools.partial(_pure_product, b=pure, words=words, order=order)
+        add = _add_pure
+    out = {0: one} if unit else {}
+    power = {0: one}
+    for n in range(1, order + 1):
+        power = product(power)
+        if not power:
+            break
+        add(out, power, weight(n))
+    if pure is None:
+        return TruncatedSeries._raw(order, out)
+    return _from_pure(order, out)
+
+
+def _exp(x: TruncatedSeries, order: int, mul: _Mul, words: _Words) -> TruncatedSeries:
     _check_order(order)
     if not x.coeff(0).is_zero():
         raise ValueError("exponential needs a series with no constant term")
-    x = x.truncate(order)
-    out = TruncatedSeries.one(order)
-    power = TruncatedSeries.one(order)
-    factorial = 1
-    for n in range(1, order + 1):
-        power = _series_product(power, x, mul, order)
-        if power.is_zero():
-            break
-        factorial *= n
-        out = out + power.scale(Fraction(1, factorial))
-    return out
+    return _power_sum(x.truncate(order), order, mul, words,
+                      lambda n: Fraction(1, math.factorial(n)), unit=True)
 
 
 def exp_gl(x: TruncatedSeries, order: int) -> TruncatedSeries:
     """Grossman-Larson exponential of a series without constant term."""
-    return _exp(x, order, gl_product)
+    return _exp(x, order, gl_product, _gl_words)
 
 
 def exp_concat(x: TruncatedSeries, order: int) -> TruncatedSeries:
     """Concatenation exponential of a series without constant term."""
-    return _exp(x, order, concat_mul)
+    return _exp(x, order, concat_mul, _concat_words)
 
 
 def log_gl(s: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Inverse of exp_gl on series with constant term 1.
-
-    Triangular in the filtration degree: the n-th power of s - 1 only
-    reaches degrees >= n, so the sum is finite at each order.
-    """
+    """Inverse of exp_gl on series with constant term 1:
+    log(1 + z) = sum over n >= 1 of (-1)^(n+1)/n . z^n."""
     _check_order(order)
     if s.coeff(0) != AlgebroidElement.unit():
         raise ValueError("logarithm needs constant term 1")
     z = s.truncate(order) - TruncatedSeries.one(order)
-    out = TruncatedSeries.zero(order)
-    power = TruncatedSeries.one(order)
-    for n in range(1, order + 1):
-        power = _series_product(power, z, gl_product, order)
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction((-1) ** (n + 1), n))
-    return out
+    return _power_sum(z, order, gl_product, _gl_words,
+                      lambda n: Fraction((-1) ** (n + 1), n), unit=False)
 
 
 def compose_gl(s2: TruncatedSeries, s1: TruncatedSeries) -> TruncatedSeries:
     """Flow composition: the degreewise Grossman-Larson product s2 * s1."""
     order = min(s2.order, s1.order)
-    return _series_product(s2, s1, gl_product, order)
+    a, b = _pure(s2), _pure(s1)
+    if a is None or b is None:
+        return TruncatedSeries._raw(
+            order, _element_product(s2.coeffs, s1.coeffs, gl_product, order))
+    return _from_pure(order, _pure_product(a, b, _gl_words, order))
 
 
 # ---------------------------------------------------------------------------

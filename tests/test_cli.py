@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import inspect
 import io
 import os
@@ -350,6 +351,21 @@ def test_series_order_zero(capsys):
     )
     assert code == 0
     assert out.splitlines()[1:] == ["0"]
+
+
+# sha256 of the whole stdout, header line included, pinned from the
+# Fraction-based series code that preceded integer numerators.
+@pytest.mark.parametrize("argv, lines, digest", [
+    (("series", "modified-field", "--method", "lie-euler", "--order", "10"), 22092,
+     "8c42f6cefe1f9036839248cf229581aa49b759c65adcad485f776aa65b71fde0"),
+    (("series", "gl-exp", "--order", "10"), 23715,
+     "101b443ed068dbb051a0282ee33d04c8a1de9343672b866766641358282ee9bc"),
+])
+def test_series_stdout_golden(capsys, argv, lines, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_series_unknown_method(capsys):

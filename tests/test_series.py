@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from postlie.algebroid import AlgebroidElement, parse_element
+from postlie.algebroid import AlgebroidElement, concat_mul, gl_product, parse_element
 from postlie.coeffs import CoeffPoly
 from postlie.series import (
     DIV_AROMA,
@@ -19,6 +21,7 @@ from postlie.series import (
     modified_field,
     preprocessed_field,
 )
+from postlie.trees import forests_of_grade
 
 
 def el(text: str) -> AlgebroidElement:
@@ -146,3 +149,113 @@ def test_modified_field_validation():
 
 def test_aromatic_alias():
     assert modified_field("aromatic", 3) == preprocessed_field(3)
+
+
+# -- pure series against element arithmetic
+#
+# A pure series (rational constant coefficients only) runs on integer
+# numerators inside the series layer.  The reference below builds the
+# same sums from element products, ``AlgebroidElement.__add__`` and
+# ``scale``, one power at a time.
+
+
+def _ref_product(a, b, mul, order):
+    acc = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            if i + j <= order:
+                acc[i + j] = acc.get(i + j, AlgebroidElement.zero()) + mul(x, y)
+    return TruncatedSeries(order, acc)
+
+
+def _ref_power_sum(z, order, mul, weight, unit):
+    out = TruncatedSeries.one(order) if unit else TruncatedSeries.zero(order)
+    power = TruncatedSeries.one(order)
+    for n in range(1, order + 1):
+        power = _ref_product(power, z, mul, order)
+        out = out + power.scale(weight(n))
+    return out
+
+
+def _ref_exp(x, order, mul):
+    return _ref_power_sum(x, order, mul, lambda n: Fraction(1, math.factorial(n)), True)
+
+
+def _ref_log(s, order):
+    z = s - TruncatedSeries.one(order)
+    return _ref_power_sum(z, order, gl_product,
+                          lambda n: Fraction((-1) ** (n + 1), n), False)
+
+
+def _random_pure(rng, order):
+    """Up to three words per degree 1..order, with fractional coefficients."""
+    coeffs = {}
+    for k in range(1, order + 1):
+        words = list(forests_of_grade(k))
+        x = AlgebroidElement.zero()
+        for w in rng.sample(words, min(len(words), rng.randint(0, 3))):
+            x = x + AlgebroidElement.from_forest(
+                w, Fraction(rng.randint(-6, 6), rng.randint(1, 12)))
+        coeffs[k] = x
+    return TruncatedSeries(order, coeffs)
+
+
+def _cases(seed, count=12):
+    rng = random.Random(seed)
+    for _ in range(count):
+        order = rng.randint(0, 6)
+        yield order, _random_pure(rng, order), _random_pure(rng, order)
+
+
+def _no_empty_degree(s):
+    assert all(not x.is_zero() for x in s.coeffs.values())
+    assert not any(line.endswith("| 0 | 1") for line in s.dump().splitlines())
+
+
+PURE_OPS = {
+    "exp_gl": (lambda x, y, n: exp_gl(x, n),
+               lambda x, y, n: _ref_exp(x, n, gl_product)),
+    "exp_concat": (lambda x, y, n: exp_concat(x, n),
+                   lambda x, y, n: _ref_exp(x, n, concat_mul)),
+    "log_gl": (lambda x, y, n: log_gl(TruncatedSeries.one(n) + x, n),
+               lambda x, y, n: _ref_log(TruncatedSeries.one(n) + x, n)),
+    "compose_gl": (lambda x, y, n: compose_gl(TruncatedSeries.one(n) + x, y),
+                   lambda x, y, n: _ref_product(TruncatedSeries.one(n) + x, y,
+                                                gl_product, n)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(PURE_OPS))
+@pytest.mark.parametrize("seed", [5, 6])
+def test_pure_series_match_element_reference(op, seed):
+    fast, ref = PURE_OPS[op]
+    for order, x, y in _cases(seed):
+        got, want = fast(x, y, order), ref(x, y, order)
+        assert got == want, (op, order, x)
+        assert got.dump() == want.dump()
+        _no_empty_degree(got)
+
+
+def test_pure_log_inverts_exp_on_random_series():
+    for order, x, _ in _cases(7):
+        back = log_gl(exp_gl(x, order), order)
+        assert back == x
+        _no_empty_degree(back)
+
+
+def test_cancelled_degrees_are_dropped():
+    # exp(x) * exp(-x) = 1: every positive degree cancels to zero.
+    for order, x, _ in _cases(8, count=6):
+        one = compose_gl(exp_gl(x, order), exp_gl(-x, order))
+        assert one == TruncatedSeries.one(order)
+        assert one.dump() == "t^0 | 1 | 1"
+        assert log_gl(TruncatedSeries.one(order), order).dump() == "0"
+
+
+def test_mixed_series_round_trips():
+    # The aromatic degree-3 term carries a generator, so the whole series
+    # takes the element path.
+    p = preprocessed_field(4)
+    e = exp_gl(p, 4)
+    assert log_gl(e, 4) == p
+    assert e == _ref_exp(p, 4, gl_product)
