@@ -432,7 +432,9 @@ def _triangle_words(w: Forest, v: Forest) -> dict[Forest, int]:
 
 def _numerators(a: AlgebroidElement) -> tuple[list[tuple[Forest, int]], int] | None:
     """A pure element as integer numerators over the lcm of its
-    denominators, or None when some coefficient is not a constant."""
+    denominators, or None when some coefficient is not a constant.
+    Stored coefficients are ``int`` exactly when integral, so an element
+    of ``int``s is returned as it stands, over 1."""
     scalars = []
     d = 1
     for w, f in a.terms.items():
