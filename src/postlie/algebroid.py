@@ -432,30 +432,28 @@ def _triangle_words(w: Forest, v: Forest) -> dict[Forest, int]:
 
 def _numerators(a: AlgebroidElement) -> tuple[list[tuple[Forest, int]], int] | None:
     """A pure element as integer numerators over the lcm of its
-    denominators, or None when some coefficient is not a constant.
-    Stored coefficients are ``int`` exactly when integral, so an element
-    of ``int``s is returned as it stands, over 1."""
-    scalars = []
-    d = 1
+    denominators, or None when some coefficient is not a constant.  An
+    element of integers is returned as it stands, over 1."""
+    xs, dens = [], []
     for w, f in a.terms.items():
-        c = f.terms.get(())
-        if c is None or len(f.terms) != 1:
+        c = f.num.get(())
+        if c is None or len(f.num) != 1:
             return None
-        scalars.append((w, c))
-        if type(c) is not int:
-            d = math.lcm(d, c.denominator)
+        xs.append((w, c))
+        dens.append(f.den)
+    d = math.lcm(*dens)
     if d == 1:
-        return scalars, 1
-    return [(w, c.numerator * (d // c.denominator)) for w, c in scalars], d
+        return xs, 1
+    return [(w, c * (d // e)) for (w, c), e in zip(xs, dens)], d
 
 
 def _over(acc: dict[Hashable, int], d: int) -> dict[Hashable, CoeffPoly]:
-    """Nonzero integer numerators over the common denominator d, as
-    constant coefficients: ``int`` when integral, ``Fraction`` otherwise."""
+    """Nonzero integer numerators over the common denominator d > 0, as
+    constant coefficients in lowest terms."""
     out: dict[Hashable, CoeffPoly] = {}
     for u, n in acc.items():
-        q, r = divmod(n, d)
-        out[u] = CoeffPoly._raw({(): Fraction(n, d) if r else q})
+        g = math.gcd(n, d)
+        out[u] = CoeffPoly._raw({(): n // g}, d // g)
     return out
 
 

@@ -107,8 +107,7 @@ def random_poly(rng: random.Random, max_terms: int = 2, max_degree: int = 2) -> 
                 applied = (t,)
                 budget -= t.size
             gens.append(AromaGenerator(base, applied))
-        mono = tuple(sorted(gens, key=lambda g: g.sort_key))
-        out = out + CoeffPoly({mono: random_scalar(rng)})
+        out = out + CoeffPoly({tuple(gens): random_scalar(rng)})
     if out.is_zero():
         out = CoeffPoly.one()
     return out

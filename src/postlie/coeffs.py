@@ -12,17 +12,31 @@ every derivation is identically zero.
 
 Generators are hash-consed on (base, applied, base_degree), like the
 trees they carry: constructing or deriving one returns the single object
-for that value, with its degree, sort key and hash filled once.  The
-intern table is never cleared, so a routine that frees caches must leave
-it alone.  Polynomial coefficients are stored as ``int`` while integral
-and as ``Fraction`` only when a denominator appears; every result with
-denominator 1 goes back to ``int``.  The public accessors
-``sorted_terms`` and ``constant_value`` return ``Fraction``.
+for that value, with its degree, sort key, hash and integer ``rank``
+filled once.  The rank is drawn before the generator is published, and
+``AromaGenerator._by_rank`` maps it back.  Neither table is ever cleared,
+so a routine that frees caches must leave them alone.
+
+A polynomial holds its monomials as ascending tuples of ranks, so that
+hashing, equality and sorting run on ints, and its coefficients as
+``int`` numerators ``num`` over one denominator ``den > 0`` in lowest
+terms (no zero numerator, ``gcd(den, *num.values()) == 1``).  The form is
+canonical, and ``==`` and ``hash`` read it.  ``terms`` is a read-only
+view, built once per polynomial on first use: generator tuples in
+``sort_key`` order, in the order the arithmetic made the terms, map to an
+``int`` when integral and a ``Fraction`` otherwise.  ``sorted_terms`` and
+``constant_value`` return ``Fraction``.  A rank belongs to one interned
+object, so generators that differ only in ``base_degree`` are equal but
+give unequal monomials; no code here builds such a pair.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .trees import PlanarTree
@@ -39,15 +53,18 @@ class AromaGenerator:
     (base, applied).
 
     Interned on ``(base, applied, base_degree)``: constructing a generator
-    twice returns one object, whose ``degree``, ``sort_key`` and hash are
-    filled once.
+    twice returns one object, whose ``degree``, ``sort_key``, ``rank`` and
+    hash are filled once.
     """
 
-    __slots__ = ("base", "applied", "base_degree", "degree", "sort_key", "_hash")
+    __slots__ = ("base", "applied", "base_degree", "degree", "sort_key", "rank",
+                 "_hash", "_derived")
 
-    # (base, applied, base_degree) -> the generator.  Never cleared, as for
-    # trees and forests.
+    # (base, applied, base_degree) -> the generator, and rank -> the
+    # generator.  Never cleared, as for trees and forests.
     _interned: dict[tuple, "AromaGenerator"] = {}
+    _by_rank: dict[int, "AromaGenerator"] = {}
+    _ranks = itertools.count()
 
     def __new__(cls, base: str, applied: tuple[PlanarTree, ...] = (),
                 base_degree: int = 0) -> "AromaGenerator":
@@ -64,7 +81,14 @@ class AromaGenerator:
         gen.degree = base_degree + sum(t.size for t in applied)
         gen.sort_key = (base, tuple(t.sort_key for t in applied))
         gen._hash = hash((base, applied))
-        return cls._interned.setdefault(key, gen)
+        gen._derived = {}
+        # Ranked and tabled before publication: no caller sees it unranked.
+        gen.rank = rank = next(cls._ranks)
+        cls._by_rank[rank] = gen
+        won = cls._interned.setdefault(key, gen)
+        if won is not gen:
+            del cls._by_rank[rank]
+        return won
 
     def __reduce__(self):
         return AromaGenerator, (self.base, self.applied, self.base_degree)
@@ -80,7 +104,11 @@ class AromaGenerator:
         return self._hash
 
     def derive(self, tau: PlanarTree) -> "AromaGenerator":
-        return AromaGenerator(self.base, self.applied + (tau,), self.base_degree)
+        d = self._derived.get(tau)
+        if d is None:
+            d = AromaGenerator(self.base, self.applied + (tau,), self.base_degree)
+            self._derived[tau] = d
+        return d
 
     def __str__(self) -> str:
         if not self.applied:
@@ -92,75 +120,65 @@ class AromaGenerator:
                 f"base_degree={self.base_degree!r})")
 
 
-#: A monomial is a multiset of generators, stored as a sorted tuple.
-Monomial = tuple[AromaGenerator, ...]
+#: A monomial is a multiset of generators: the ascending tuple of their ranks.
+Monomial = tuple[int, ...]
 
-_ONE_MONOMIAL: Monomial = ()
-
-
-def _sorted_monomial(gens) -> Monomial:
-    return tuple(sorted(gens, key=lambda g: g.sort_key))
+_BY_RANK = AromaGenerator._by_rank
+_SORT_KEY, _DEGREE = attrgetter("sort_key"), attrgetter("degree")
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(g.degree for g in m)
+def _generators(m: Monomial) -> tuple[AromaGenerator, ...]:
+    """A rank monomial as its generators, in ``sort_key`` order."""
+    return tuple(sorted(map(_BY_RANK.__getitem__, m), key=_SORT_KEY))
 
 
-def _format_monomial(m: Monomial) -> str:
-    return "*".join(str(g) for g in m)
+def _rank_degree(m: Monomial) -> int:
+    return sum(map(_DEGREE, map(_BY_RANK.__getitem__, m)))
 
 
-def _norm(c: Scalar) -> Scalar:
-    """An int or Fraction as a stored coefficient: int when integral."""
-    if type(c) is int or c.denominator != 1:
-        return c
-    return c.numerator
+def _raw(num: dict[Monomial, int], den: int) -> "CoeffPoly":
+    """``num`` over ``den``, already in lowest terms; takes the dict."""
+    out = object.__new__(CoeffPoly)
+    out.num, out.den, out._terms = num, den, None
+    return out
 
 
-def _exact(c) -> Scalar:
-    """Any exact scalar ``Fraction`` accepts, as a stored coefficient."""
-    return c if type(c) is int else _norm(Fraction(c))
+def _reduced(num: dict[Monomial, int], den: int) -> "CoeffPoly":
+    """Nonzero numerators over ``den > 0``, their gcd divided out once."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {m: n // g for m, n in num.items()}
+    return _raw(num, den)
 
 
 class CoeffPoly:
-    """Sparse polynomial: monomial -> exact rational, zeros dropped.
+    """Sparse polynomial: monomial -> exact rational, zeros dropped."""
 
-    A stored coefficient is an ``int`` exactly when it is integral and a
-    ``Fraction`` otherwise; ``sorted_terms`` and ``constant_value`` hand
-    out ``Fraction``.
-    """
+    __slots__ = ("num", "den", "_terms")
+    _raw = staticmethod(_raw)
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _exact(c)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
-        self._hash = None
-
-    @classmethod
-    def _raw(cls, terms: dict[Monomial, Scalar]) -> "CoeffPoly":
-        """Internal: terms already canonical (sorted keys, stored
-        coefficients, no zeros).  Takes ownership of the dict."""
-        out = object.__new__(cls)
-        out.terms = terms
-        out._hash = None
-        return out
+    def __new__(cls, terms: Mapping[tuple[AromaGenerator, ...], Scalar] | None = None):
+        acc: dict[Monomial, Fraction] = {}
+        for gens, c in (terms or {}).items():
+            m = tuple(sorted(g.rank for g in gens))
+            acc[m] = acc.get(m, 0) + Fraction(c)
+        acc = {m: c for m, c in acc.items() if c}
+        # Over the lcm of reduced denominators the form is in lowest terms.
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        return _raw({m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den)
 
     # -- constructors
 
     @staticmethod
     def zero() -> "CoeffPoly":
-        return CoeffPoly()
+        return _ZERO
 
     @staticmethod
     def scalar(c: Scalar) -> "CoeffPoly":
-        c = _exact(c)
-        return CoeffPoly._raw({_ONE_MONOMIAL: c} if c else {})
+        c = c if type(c) is int else Fraction(c)
+        return _raw({(): c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def one() -> "CoeffPoly":
@@ -170,67 +188,75 @@ class CoeffPoly:
     def generator(gen: AromaGenerator | str, base_degree: int = 0) -> "CoeffPoly":
         if isinstance(gen, str):
             gen = AromaGenerator(gen, (), base_degree)
-        return CoeffPoly._raw({(gen,): 1})
+        return _raw({(gen.rank,): 1}, 1)
+
+    @property
+    def terms(self) -> Mapping[tuple[AromaGenerator, ...], Scalar]:
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({
+                _generators(m): Fraction(n, den) if n % den else n // den
+                for m, n in self.num.items()})
+        return self._terms
+
+    def __reduce__(self):
+        # Ranks are local to a process: a copy travels in generator form.
+        return CoeffPoly, (dict(self.terms),)
 
     # -- predicates
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(m == _ONE_MONOMIAL for m in self.terms)
+        return not self.num or (len(self.num) == 1 and () in self.num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial has non-constant terms")
-        return Fraction(self.terms.get(_ONE_MONOMIAL, 0))
+        return Fraction(self.num.get((), 0), self.den)
 
     def degree(self) -> int:
         """Max monomial degree; zero polynomial reports 0."""
-        if not self.terms:
-            return 0
-        return max(monomial_degree(m) for m in self.terms)
+        return max(map(_rank_degree, self.num), default=0)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(monomial_degree(m) == d for m in self.terms)
+        return all(_rank_degree(m) == d for m in self.num)
 
     # -- ring operations
 
     def __add__(self, other: "CoeffPoly") -> "CoeffPoly":
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        if not self.terms:
+        if not self.num:
             return other
-        if not other.terms:
+        if not other.num:
             return self
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            v = acc.get(m)
-            if v is None:
-                acc[m] = c
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        acc = dict(self.num) if s == 1 else {m: n * s for m, n in self.num.items()}
+        for m, n in other.num.items():
+            n = acc.get(m, 0) + n * t
+            if n:
+                acc[m] = n
             else:
-                v = v + c
-                if v:
-                    acc[m] = _norm(v)
-                else:
-                    del acc[m]
-        return CoeffPoly._raw(acc)
+                del acc[m]
+        return _reduced(acc, den)
 
     def __sub__(self, other: "CoeffPoly") -> "CoeffPoly":
         return self + (-other)
 
     def __neg__(self) -> "CoeffPoly":
-        return CoeffPoly._raw({m: -c for m, c in self.terms.items()})
+        return _raw({m: -n for m, n in self.num.items()}, self.den)
 
     def __mul__(self, other) -> "CoeffPoly":
         if isinstance(other, CoeffPoly):
-            acc: dict[Monomial, Scalar] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = _sorted_monomial(m1 + m2) if m1 and m2 else m1 + m2
-                    v = acc.get(m)
-                    acc[m] = c1 * c2 if v is None else v + c1 * c2
-            return CoeffPoly._raw({m: _norm(c) for m, c in acc.items() if c})
+            acc: dict[Monomial, int] = {}
+            for m1, c1 in self.num.items():
+                for m2, c2 in other.num.items():
+                    m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 + m2
+                    acc[m] = acc.get(m, 0) + c1 * c2
+            return _reduced({m: c for m, c in acc.items() if c}, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -243,55 +269,60 @@ class CoeffPoly:
     def scale(self, c: Scalar) -> "CoeffPoly":
         if c == 1:
             return self
-        c = _exact(c)
+        c = c if type(c) is int else Fraction(c)
         if not c:
-            return CoeffPoly()
-        return CoeffPoly._raw({m: _norm(c * v) for m, v in self.terms.items()})
+            return _ZERO
+        p = c.numerator
+        return _reduced({m: n * p for m, n in self.num.items()}, self.den * c.denominator)
 
     def derive(self, tau: PlanarTree) -> "CoeffPoly":
         """Free derivation attached to tau, by the Leibniz rule.
 
-        Each generator in a monomial is hit in turn; constants vanish.
+        Each generator in a monomial is hit in turn, in ``sort_key``
+        order as in the ``terms`` view; constants vanish.
         """
-        acc: dict[Monomial, Scalar] = {}
-        for mono, c in self.terms.items():
-            for i, gen in enumerate(mono):
-                m = _sorted_monomial(mono[:i] + (gen.derive(tau),) + mono[i + 1:])
-                v = acc.get(m)
-                acc[m] = c if v is None else v + c
-        return CoeffPoly._raw({m: _norm(c) for m, c in acc.items() if c})
+        acc: dict[Monomial, int] = {}
+        for mono, c in self.num.items():
+            if len(mono) == 1:
+                m = (_BY_RANK[mono[0]].derive(tau).rank,)
+                acc[m] = acc.get(m, 0) + c
+                continue
+            for gen in sorted(map(_BY_RANK.__getitem__, mono), key=_SORT_KEY):
+                i = mono.index(gen.rank)
+                m = tuple(sorted(mono[:i] + (gen.derive(tau).rank,) + mono[i + 1:]))
+                acc[m] = acc.get(m, 0) + c
+        return _reduced({m: c for m, c in acc.items() if c}, self.den)
 
     # -- equality, hashing, display
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash((self.den, frozenset(self.num.items())))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[AromaGenerator, ...], Fraction]]:
         return sorted(
-            ((m, Fraction(c)) for m, c in self.terms.items()),
-            key=lambda kv: (monomial_degree(kv[0]), tuple(g.sort_key for g in kv[0])),
+            ((_generators(m), Fraction(n, self.den)) for m, n in self.num.items()),
+            key=lambda kv: (sum(g.degree for g in kv[0]), tuple(g.sort_key for g in kv[0])),
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for mono, c in self.sorted_terms():
-            if mono == _ONE_MONOMIAL:
+            name = "*".join(map(str, mono))
+            if not mono:
                 body = str(c)
             elif c == 1:
-                body = _format_monomial(mono)
+                body = name
             elif c == -1:
-                body = "-" + _format_monomial(mono)
+                body = "-" + name
             else:
-                body = f"{c}*{_format_monomial(mono)}"
+                body = f"{c}*{name}"
             parts.append(body)
         out = parts[0]
         for p in parts[1:]:
@@ -301,3 +332,5 @@ class CoeffPoly:
     def __repr__(self) -> str:
         return f"CoeffPoly({self})"
 
+
+_ZERO = CoeffPoly()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from postlie import coeffs
 from postlie.algebroid import (
     AlgebroidElement,
     _gl_words,
@@ -27,6 +29,7 @@ from postlie.algebroid import (
     word_splits,
     word_triples,
 )
+from postlie.braiding import braid_pair
 from postlie.checks import _dress, basis_tuples, random_element
 from postlie.coeffs import AromaGenerator, CoeffPoly
 from postlie.trees import (
@@ -479,3 +482,55 @@ def test_theta_involution():
 def test_theta_antihomomorphism_spot():
     x, y = el("o + [o]"), el("o o + -2 o")
     assert theta(gl_product(x, y)) == gl_product(theta(y), theta(x))
+
+
+# -- the dressed path on rank monomials
+
+
+def _dressed_pairs(seed: int, n: int):
+    rng = random.Random(seed)
+    return [(random_element(rng, rng.randint(0, 3)), random_element(rng, rng.randint(0, 3)))
+            for _ in range(n)]
+
+
+DRESSED_OPS = {
+    "triangle": triangle,
+    "gl_product": gl_product,
+    "theta": lambda a, b: theta(a),
+    "braid_pair": braid_pair,
+}
+
+
+# sha256 of the dumps on 200 seeded dressed pairs of grade <= 3, blank-line
+# separated, pinned from the coefficient code that preceded rank monomials.
+@pytest.mark.parametrize("name, lines, digest", [
+    ("triangle", 611, "670fe67bc5896bff912bd4361f481eb9435a3e660f2d47601160408959dcc56f"),
+    ("gl_product", 840, "c9f5a8b2fa3b96d262e2163cb4c780d9b304b6cff5fdb6f559ea11a59069875b"),
+    ("theta", 607, "5668d1487998d48cd127bd353dbf724d7c6e5b186246db6d3c5e8ad2ecb05074"),
+    ("braid_pair", 1466, "607842421f0850370beaf04fa4ce239b38453b31c72d0853e9e737a758b2def7"),
+])
+def test_dressed_dumps_golden(name, lines, digest):
+    op = DRESSED_OPS[name]
+    text = "\n\n".join(op(a, b).dump() for a, b in _dressed_pairs(1515, 200))
+    assert len(text.splitlines()) == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_dressed_operations_build_no_terms_view(monkeypatch):
+    # The generator view of a coefficient is for display and evaluation;
+    # the dressed operations stay on rank monomials and integer numerators.
+    calls = []
+    to_generators = coeffs._generators
+
+    def counted(m):
+        calls.append(m)
+        return to_generators(m)
+
+    monkeypatch.setattr(coeffs, "_generators", counted)
+    results = []
+    for a, b in _dressed_pairs(7, 40):
+        results += [triangle(a, b), gl_product(a, b), theta(a)]
+    assert not calls
+    for x in results:
+        x.dump()
+    assert calls

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import copy
+import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +93,48 @@ def test_concurrent_derivation_gives_one_generator_per_value():
     assert not any(t.is_alive() for t in threads)
     for i in range(len(results[0])):
         assert len({id(r[i]) for r in results}) == 1
+
+
+def test_concurrent_interning_gives_distinct_ranks():
+    # Threads race to intern shared generators (one derivation history per
+    # round) and their own ones, reading each rank as soon as they get the
+    # generator: every rank must be drawn before the generator is
+    # published, and each must name one interned object.
+    letters = [parse_tree("[" + "o" * k + "]") for k in range(1, 31)]
+    bases = [AromaGenerator(f"rank-race-{r}", tuple(letters) * 3) for r in range(8)]
+    n_threads = 4
+    results = [None] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def work(k):
+        start.wait()
+        out = []
+        for r, base in enumerate(bases):
+            own = AromaGenerator(f"rank-race-{r}-{k}")
+            for a in letters:
+                d = base.derive(a)
+                for b in letters:
+                    out.append((d.rank, d.derive(b).rank))
+                    own.derive(a).derive(b).rank
+        results[k] = out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results[0] is not None
+    assert all(r == results[0] for r in results)
+    interned = list(AromaGenerator._interned.values())
+    table = AromaGenerator._by_rank
+    assert len({g.rank for g in interned}) == len(interned) == len(table)
+    assert all(table[g.rank] is g for g in interned)
 
 
 def test_generator_str():
@@ -275,3 +321,75 @@ def test_integer_coefficients_match_fraction_reference():
                 tau = rng.choice((LEAF, T2))
                 p, ref = p.derive(tau), _ref_derive(ref, tau)
             _assert_matches(p, ref)
+
+
+# -- the integer form: rank monomials over one denominator
+
+
+def _assert_lowest_terms(p):
+    assert p.den > 0
+    assert all(p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    for m in p.num:
+        assert list(m) == sorted(m)
+
+
+def test_lowest_terms_and_canonical_equality():
+    rng = random.Random(15015)
+    for _ in range(300):
+        p, ref = _random_pair(rng)
+        for _ in range(rng.randint(1, 5)):
+            op = rng.choice(("add", "sub", "neg", "mul", "scale", "derive"))
+            if op in ("add", "sub", "mul"):
+                q, qref = _random_pair(rng)
+                if op == "add":
+                    p, ref = p + q, _ref_add(ref, qref)
+                elif op == "sub":
+                    p, ref = p - q, _ref_add(ref, {m: -c for m, c in qref.items()})
+                else:
+                    p, ref = p * q, _ref_mul(ref, qref)
+            elif op == "neg":
+                p, ref = -p, {m: -c for m, c in ref.items()}
+            elif op == "scale":
+                c = _random_scalar(rng)
+                p, ref = p.scale(c), _ref_mul(ref, {(): c} if c else {})
+            else:
+                tau = rng.choice((LEAF, T2))
+                p, ref = p.derive(tau), _ref_derive(ref, tau)
+            _assert_lowest_terms(p)
+            _assert_matches(p, ref)
+        # Equal values built by different routes share one form.
+        b, _ = _random_pair(rng)
+        for other in ((p + b) - b, p.scale(2).scale(Fraction(1, 2)),
+                      CoeffPoly(dict(p.terms))):
+            _assert_lowest_terms(other)
+            assert other == p and hash(other) == hash(p)
+
+
+def test_rank_monomials_split_generators_equal_up_to_grading():
+    # A rank belongs to one interned object: generators that differ only in
+    # base_degree are equal, yet their monomials are not.
+    graded = AromaGenerator("g", base_degree=2)
+    assert graded == G and graded.rank != G.rank
+    assert AromaGenerator._by_rank[graded.rank] is graded
+    p, q = CoeffPoly.generator(graded), CoeffPoly.generator(G)
+    assert p != q
+    assert (p.degree(), q.degree()) == (2, 0)
+    assert len((p + q).num) == 2
+
+
+def test_pickle_carries_generators_not_ranks():
+    # Ranks follow the order in which a process interns generators, so a
+    # pickled polynomial must be rebuilt from its generator form.
+    p = (CoeffPoly.generator(H.derive(T2)) * CoeffPoly.generator(G)).scale(Fraction(2, 3))
+    p = p + CoeffPoly.one()
+    code = ("import pickle, sys\n"
+            "from postlie.coeffs import AromaGenerator\n"
+            "for name in 'zyxh': AromaGenerator(name)\n"
+            "print(pickle.loads(sys.stdin.buffer.read()))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(p),
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == str(p)
