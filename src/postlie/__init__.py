@@ -13,193 +13,101 @@ exposes the whole thing as the ``postlie`` command.
 
 All symbolic arithmetic is exact: integer or Fraction coefficients, no
 floating point anywhere until geomint evaluates on the group.
+
+The package namespace holds the functions that the demos and the
+benchmark reach through it, and the types of their arguments and results,
+including the errors the command line maps to exit code 2.  Everything
+else is imported from its submodule.
 """
 
 from .trees import (
     CapacityError,
-    DEFAULT_MAX_GRADE,
-    EMPTY_FOREST,
     Forest,
-    LEAF,
-    MAX_OPERATION_GRADE,
     ParseError,
     PlanarTree,
     enumerate_forests,
-    forests_of_grade,
     format_forest,
     format_tree,
-    graft_into_forest,
     left_graft,
     parse_forest,
     parse_tree,
-    single,
     trees_of_size,
 )
-from .coeffs import AromaGenerator, CoeffPoly
+from .coeffs import CoeffPoly
 from .algebroid import (
     AlgebroidElement,
     TensorElement,
-    antipode_concat,
-    concat_mul,
-    coproduct,
-    counit,
     gl_antipode,
     gl_product,
     parse_element,
     theta,
     triangle,
-    word_action,
 )
-from .checks import (
-    CheckReport,
-    SUITES,
-    suite_axioms,
-    suite_degenerate,
-    suite_gl,
-    suite_smash,
-    suite_theta,
-)
-from .braiding import (
-    BraidReport,
-    braid_expansion,
-    braid_pair,
-    braid_r,
-    check_braiding,
-    multiply_tensor,
-    reduce_pairs,
-)
+from .checks import CheckReport, suite_axioms
+from .braiding import braid_pair, check_braiding
 from .series import (
-    DIV_AROMA,
     TruncatedSeries,
-    compose_gl,
     exp_concat,
     exp_gl,
     field_series,
     log_gl,
     modified_field,
-    preprocessed_field,
 )
 from .geomint import (
-    AnalyticCoeff,
     ConfigurationError,
     ExperimentConfig,
     ExperimentResult,
-    ExperimentRow,
-    FrameVectorField,
-    GroupFrame,
-    MatrixPoly,
-    NumericCoeff,
     NumericError,
-    connection,
-    connection_field,
     divergence,
     divergence_free_field,
-    element_tangent_matrix,
-    eval_tree,
     geometric_grid,
-    jacobi_bracket_fd,
-    lie_euler_step,
-    make_aromatic_stepper,
-    make_field,
     make_reference_stepper,
-    make_stepper,
     random_rotation,
-    reference_flow,
     run_experiment,
-    slope_estimate,
-    so3,
     step_volume,
-    torsion_bracket,
-    tree_field,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebroidElement",
-    "AnalyticCoeff",
-    "AromaGenerator",
-    "BraidReport",
     "CapacityError",
     "CheckReport",
     "CoeffPoly",
     "ConfigurationError",
-    "DEFAULT_MAX_GRADE",
-    "DIV_AROMA",
-    "EMPTY_FOREST",
     "ExperimentConfig",
     "ExperimentResult",
-    "ExperimentRow",
     "Forest",
-    "FrameVectorField",
-    "GroupFrame",
-    "LEAF",
-    "MAX_OPERATION_GRADE",
-    "MatrixPoly",
-    "NumericCoeff",
     "NumericError",
     "ParseError",
     "PlanarTree",
-    "SUITES",
     "TensorElement",
     "TruncatedSeries",
-    "antipode_concat",
-    "braid_expansion",
     "braid_pair",
-    "braid_r",
     "check_braiding",
-    "compose_gl",
-    "concat_mul",
-    "connection",
-    "connection_field",
-    "coproduct",
-    "counit",
     "divergence",
     "divergence_free_field",
-    "element_tangent_matrix",
     "enumerate_forests",
-    "eval_tree",
     "exp_concat",
     "exp_gl",
     "field_series",
-    "forests_of_grade",
     "format_forest",
     "format_tree",
     "geometric_grid",
     "gl_antipode",
     "gl_product",
-    "graft_into_forest",
-    "jacobi_bracket_fd",
     "left_graft",
-    "lie_euler_step",
     "log_gl",
-    "make_aromatic_stepper",
-    "make_field",
     "make_reference_stepper",
-    "make_stepper",
     "modified_field",
-    "multiply_tensor",
     "parse_element",
     "parse_forest",
     "parse_tree",
-    "preprocessed_field",
     "random_rotation",
-    "reduce_pairs",
-    "reference_flow",
     "run_experiment",
-    "single",
-    "slope_estimate",
-    "so3",
     "step_volume",
     "suite_axioms",
-    "suite_degenerate",
-    "suite_gl",
-    "suite_smash",
-    "suite_theta",
     "theta",
-    "torsion_bracket",
-    "tree_field",
     "trees_of_size",
     "triangle",
-    "word_action",
 ]

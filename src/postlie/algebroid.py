@@ -3,7 +3,11 @@
 An element is a finite sum  sum_w  c_w . w  where w is an ordered forest
 and c_w a coefficient polynomial.  The coefficient algebra sits centrally
 inside the non-commutative word algebra, so one coefficient per forest
-(and per word pair, for tensors) is a faithful representation.
+(and per word pair, for tensors) is a faithful representation.  Elements
+and tensors share one base, ``_Combination``, which holds that dict and
+owns the linear structure, equality, hashing and the dump.  Every sum of
+keyed values goes through ``_accumulate``: its values have ``+`` and
+``is_zero()``, and the existing value is the left operand of each ``+``.
 
 The structure maps:
 
@@ -80,34 +84,131 @@ from .trees import (
 )
 
 # ---------------------------------------------------------------------------
-# Elements
+# Linear combinations
 
 
-class AlgebroidElement:
-    """Finite sum of coefficient-weighted forests."""
+def _accumulate(acc: dict, key: Hashable, value) -> None:
+    """acc[key] += value, dropping the key when the sum is zero.
+
+    Values are anything with ``+`` and ``is_zero()``: coefficients, or the
+    elements of a series.  The existing value is the left operand, so a
+    sum is built in the order its summands arrive.  ``value`` itself must
+    be nonzero."""
+    g = acc.get(key)
+    if g is None:
+        acc[key] = value
+    else:
+        g = g + value
+        if g.is_zero():
+            del acc[key]
+        else:
+            acc[key] = g
+
+
+def _bump(acc: dict[Hashable, Scalar], w: Hashable, m: Scalar) -> None:
+    n = acc.get(w, 0) + m
+    if n:
+        acc[w] = n
+    else:
+        acc.pop(w, None)
+
+
+class _Combination:
+    """Finite sum of nonzero coefficient polynomials keyed on words or on
+    word pairs: the linear structure that elements and tensors share.
+
+    A subclass supplies the order of its keys (``_key_order``), the text
+    of a key in ``dump`` (``_key_text``) and the dump of zero (``_EMPTY``).
+    """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Forest, CoeffPoly] | None = None):
-        clean: dict[Forest, CoeffPoly] = {}
-        if terms:
-            for w, f in terms.items():
-                if not f.is_zero():
-                    clean[w] = f
-        self.terms = clean
+    def __init__(self, terms: Mapping[Hashable, CoeffPoly] | None = None):
+        self.terms = {k: f for k, f in (terms or {}).items() if not f.is_zero()}
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict[Forest, CoeffPoly]) -> "AlgebroidElement":
+    def _raw(cls, terms: dict[Hashable, CoeffPoly]):
         """Internal: no zero polynomials among the values.  Takes ownership."""
         out = object.__new__(cls)
         out.terms = terms
         out._hash = None
         return out
 
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for k, f in other.terms.items():
+            _accumulate(acc, k, f)
+        return self._raw(acc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw({k: -f for k, f in self.terms.items()})
+
+    def scale(self, c: Union[Scalar, CoeffPoly]):
+        """Multiply every coefficient by a scalar or coefficient polynomial."""
+        if not isinstance(c, CoeffPoly):
+            if c == 1:
+                return self
+            c = CoeffPoly.scalar(c)
+        return type(self)({k: c * f for k, f in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+    def sorted_terms(self) -> list[tuple[Hashable, CoeffPoly]]:
+        order = self._key_order
+        return sorted(self.terms.items(), key=lambda kv: order(kv[0]))
+
+    def dump(self) -> str:
+        """One line per term: ``coeff | key`` in canonical order."""
+        if not self.terms:
+            return self._EMPTY
+        text = self._key_text
+        return "\n".join(f"{f} | {text(k)}" for k, f in self.sorted_terms())
+
+    def __str__(self) -> str:
+        return self.dump().replace("\n", "; ")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self}>"
+
+
+class AlgebroidElement(_Combination):
+    """Finite sum of coefficient-weighted forests."""
+
+    __slots__ = ()
+    _EMPTY = "0 | 1"
+
     @staticmethod
-    def zero() -> "AlgebroidElement":
-        return AlgebroidElement()
+    def _key_order(w: Forest):
+        return w.sort_key
+
+    @staticmethod
+    def _key_text(w: Forest) -> str:
+        return w.encoding
 
     @staticmethod
     def unit() -> "AlgebroidElement":
@@ -120,49 +221,9 @@ class AlgebroidElement:
         return AlgebroidElement({w: coeff})
 
     @staticmethod
-    def from_tree(t: PlanarTree, coeff: CoeffPoly | Scalar = 1) -> "AlgebroidElement":
-        return AlgebroidElement.from_forest(single(t), coeff)
-
-    @staticmethod
     def iota(f: CoeffPoly) -> "AlgebroidElement":
         """Embed a coefficient as f . (empty word)."""
         return AlgebroidElement({EMPTY_FOREST: f})
-
-    # -- linear structure
-
-    def __add__(self, other: "AlgebroidElement") -> "AlgebroidElement":
-        if not isinstance(other, AlgebroidElement):
-            return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        for w, f in other.terms.items():
-            g = acc.get(w)
-            if g is None:
-                acc[w] = f
-            else:
-                g = g + f
-                if g.is_zero():
-                    del acc[w]
-                else:
-                    acc[w] = g
-        return AlgebroidElement._raw(acc)
-
-    def __sub__(self, other: "AlgebroidElement") -> "AlgebroidElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebroidElement":
-        return AlgebroidElement._raw({w: -f for w, f in self.terms.items()})
-
-    def scale(self, c: Union[Scalar, CoeffPoly]) -> "AlgebroidElement":
-        """Multiply every coefficient by a scalar or coefficient polynomial."""
-        if not isinstance(c, CoeffPoly):
-            if c == 1:
-                return self
-            c = CoeffPoly.scalar(c)
-        return AlgebroidElement({w: c * f for w, f in self.terms.items()})
 
     def __mul__(self, other) -> "AlgebroidElement":
         if isinstance(other, AlgebroidElement):
@@ -176,11 +237,6 @@ class AlgebroidElement:
             return self.scale(other)
         return NotImplemented
 
-    # -- grading
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_grade(self) -> int:
         """Largest combined grade (word grade + coefficient degree)."""
         if not self.terms:
@@ -191,53 +247,6 @@ class AlgebroidElement:
         return all(
             f.is_homogeneous(k - w.grade) for w, f in self.terms.items()
         )
-
-    # -- comparison and display
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebroidElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def sorted_terms(self) -> list[tuple[Forest, CoeffPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)
-
-    def dump(self) -> str:
-        """One line per term: ``coeff | forest`` in canonical order."""
-        if not self.terms:
-            return "0 | 1"
-        return "\n".join(f"{f} | {w.encoding}" for w, f in self.sorted_terms())
-
-    def __str__(self) -> str:
-        return self.dump().replace("\n", "; ")
-
-    def __repr__(self) -> str:
-        return f"AlgebroidElement<{self}>"
-
-
-def _accumulate(acc: dict[Hashable, CoeffPoly], w: Hashable, f: CoeffPoly) -> None:
-    g = acc.get(w)
-    if g is None:
-        acc[w] = f
-    else:
-        g = g + f
-        if g.is_zero():
-            del acc[w]
-        else:
-            acc[w] = g
-
-
-def _bump(acc: dict[Hashable, Scalar], w: Hashable, m: Scalar) -> None:
-    n = acc.get(w, 0) + m
-    if n:
-        acc[w] = n
-    else:
-        acc.pop(w, None)
 
 
 # ---------------------------------------------------------------------------
@@ -300,83 +309,27 @@ def antipode_concat(a: AlgebroidElement) -> AlgebroidElement:
 # per word pair)
 
 
-class TensorElement:
+class TensorElement(_Combination):
     """Finite sum of coefficient-weighted word pairs."""
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms: Mapping[tuple[Forest, Forest], CoeffPoly] | None = None):
-        clean: dict[tuple[Forest, Forest], CoeffPoly] = {}
-        if terms:
-            for pair, f in terms.items():
-                if not f.is_zero():
-                    clean[pair] = f
-        self.terms = clean
-        self._hash = None
+    __slots__ = ()
+    _EMPTY = "0 | 1 | 1"
 
     @staticmethod
-    def zero() -> "TensorElement":
-        return TensorElement()
+    def _key_order(pair: tuple[Forest, Forest]):
+        return pair[0].sort_key, pair[1].sort_key
+
+    @staticmethod
+    def _key_text(pair: tuple[Forest, Forest]) -> str:
+        return f"{pair[0].encoding} | {pair[1].encoding}"
 
     @staticmethod
     def of(a: AlgebroidElement, b: AlgebroidElement) -> "TensorElement":
         acc: dict[tuple[Forest, Forest], CoeffPoly] = {}
         for w, f in a.terms.items():
             for v, g in b.terms.items():
-                key = (w, v)
-                h = acc.get(key)
-                p = f * g
-                acc[key] = p if h is None else h + p
+                _accumulate(acc, (w, v), f * g)
         return TensorElement(acc)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        acc = dict(self.terms)
-        for pair, f in other.terms.items():
-            g = acc.get(pair)
-            acc[pair] = f if g is None else g + f
-        return TensorElement(acc)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement({p: -f for p, f in self.terms.items()})
-
-    def scale(self, c: Union[Scalar, CoeffPoly]) -> "TensorElement":
-        if not isinstance(c, CoeffPoly):
-            c = CoeffPoly.scalar(c)
-        return TensorElement({p: c * f for p, f in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key))
-
-    def dump(self) -> str:
-        if not self.terms:
-            return "0 | 1 | 1"
-        return "\n".join(
-            f"{f} | {w.encoding} | {v.encoding}" for (w, v), f in self.sorted_terms())
-
-    def __str__(self) -> str:
-        return self.dump().replace("\n", "; ")
-
-    def __repr__(self) -> str:
-        return f"TensorElement<{self}>"
 
 
 def coproduct(a: AlgebroidElement) -> TensorElement:
@@ -384,11 +337,8 @@ def coproduct(a: AlgebroidElement) -> TensorElement:
     acc: dict[tuple[Forest, Forest], CoeffPoly] = {}
     for w, f in a.terms.items():
         for left, right, mult in word_splits(w):
-            key = (left, right)
-            p = f.scale(mult)
-            g = acc.get(key)
-            acc[key] = p if g is None else g + p
-    return TensorElement(acc)
+            _accumulate(acc, (left, right), f.scale(mult))
+    return TensorElement._raw(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ from .checks import CheckReport, _run_suite, basis_tuples, random_element, rando
 from .coeffs import CoeffPoly
 from .trees import Forest
 
-#: Reports reuse the generic check plumbing; the axiom ids are a..f,
-#: counit-lemma, bimodule-left and bimodule-right.
-BraidReport = CheckReport
-
 _Pair = tuple[Forest, Forest]
 
 
@@ -277,10 +273,11 @@ def _random_pure_tuple(rng: random.Random, arity: int,
 
 
 def check_braiding(max_grade: int = 3, samples: int = 200,
-                   sample_grade: int = 4, seed: int = 0) -> list[BraidReport]:
+                   sample_grade: int = 4, seed: int = 0) -> list[CheckReport]:
     """Verify the braiding axioms, the counit consequence and the two
     scalar-slot identities.  Exhaustive over basis tensors of total grade
-    <= max_grade, plus random cases of total grade <= sample_grade."""
+    <= max_grade, plus random cases of total grade <= sample_grade.  The
+    axiom ids are a..f, counit-lemma, bimodule-left and bimodule-right."""
     rng = random.Random(seed)
 
     def dress(tup):

@@ -36,6 +36,7 @@ from typing import Callable, Mapping
 
 from .algebroid import (
     AlgebroidElement,
+    _accumulate,
     _bump,
     _gl_words,
     _numerators,
@@ -125,17 +126,8 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         acc = {k: x for k, x in self.coeffs.items() if k <= order}
         for k, x in other.coeffs.items():
-            if k > order:
-                continue
-            cur = acc.get(k)
-            if cur is None:
-                acc[k] = x
-            else:
-                cur = cur + x
-                if cur.is_zero():
-                    del acc[k]
-                else:
-                    acc[k] = cur
+            if k <= order:
+                _accumulate(acc, k, x)
         return TruncatedSeries._raw(order, acc)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -280,32 +272,19 @@ def _element_product(a: dict[int, AlgebroidElement], b: dict[int, AlgebroidEleme
     """Degreewise product of element forms, truncated at ``order``."""
     acc: dict[int, AlgebroidElement] = {}
     for i, x in a.items():
-        if i > order:
-            continue
         for j, y in b.items():
-            k = i + j
-            if k > order:
-                continue
-            p = mul(x, y)
-            if p.is_zero():
-                continue
-            cur = acc.get(k)
-            acc[k] = p if cur is None else cur + p
-    return {k: v for k, v in acc.items() if not v.is_zero()}
+            if i + j <= order:
+                p = mul(x, y)
+                if not p.is_zero():
+                    _accumulate(acc, i + j, p)
+    return acc
 
 
 def _add_elements(acc: dict[int, AlgebroidElement], p: dict[int, AlgebroidElement],
                   c: Fraction) -> None:
     """acc += c . p on element forms."""
     for k, x in p.items():
-        x = x.scale(c)
-        cur = acc.get(k)
-        if cur is not None:
-            x = cur + x
-        if x.is_zero():
-            del acc[k]
-        else:
-            acc[k] = x
+        _accumulate(acc, k, x.scale(c))
 
 
 def _power_sum(z: TruncatedSeries, order: int, mul: _Mul, words: _Words,

@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 from postlie import coeffs
 from postlie.algebroid import (
     AlgebroidElement,
+    TensorElement,
     _gl_words,
     _triangle_words,
     antipode_concat,
@@ -83,6 +84,35 @@ def test_zero_and_scale():
     assert el("o").scale(0) == AlgebroidElement.zero()
     assert el("o").scale(Fraction(1, 2)) + el("1/2 o") == el("o")
     assert el("o + o") == el("2 o")
+
+
+# Three summands of one kind, as elements and as tensors.
+_SUMMANDS = {
+    AlgebroidElement: (el("o"), el("2/3 [o] o").scale(G), el("-1 o + 5 1")),
+    TensorElement: (TensorElement.of(el("o"), el("[o]")),
+                    TensorElement.of(el("2/3 o o"), el("1")).scale(G),
+                    TensorElement.of(el("-1 o + 5 1"), el("o"))),
+}
+
+
+@pytest.mark.parametrize("kind", [AlgebroidElement, TensorElement],
+                         ids=lambda kind: kind.__name__)
+def test_combination_core(kind):
+    """Elements and tensors share one linear structure: cancellation,
+    scaling by zero, order-free sums and hashes, and no mixing of kinds."""
+    x, y, z = _SUMMANDS[kind]
+    zero = x + (-x)
+    assert zero.terms == {} and zero.is_zero() and zero == kind.zero()
+    assert zero.dump() == {AlgebroidElement: "0 | 1", TensorElement: "0 | 1 | 1"}[kind]
+    assert (x - x).is_zero() and x.scale(0).is_zero() and y.scale(0) == kind()
+    forward, backward = x + y + z, z + (y + x)
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward.dump() == backward.dump()
+    assert repr(forward) == f"{kind.__name__}<{forward}>"
+    other = _SUMMANDS[TensorElement if kind is AlgebroidElement else AlgebroidElement][0]
+    assert (x == other) is False and x != other
+    with pytest.raises(TypeError):
+        x + other
 
 
 def test_iota_counit():

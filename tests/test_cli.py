@@ -507,10 +507,12 @@ def test_config_file_missing(capsys, tmp_path):
 
 
 def test_console_script_runs():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "postlie.cli", "trees", "enumerate", "--max-grade", "1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == ["1", "o"]

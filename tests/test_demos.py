@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, and the
+package namespace that the demos import from binds every name it exports."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+
+import postlie
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -20,3 +23,11 @@ def test_demo_runs(demo):
                           text=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_package_exports_are_bound():
+    missing = [name for name in postlie.__all__ if not hasattr(postlie, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from postlie import *", namespace)
+    assert set(postlie.__all__) <= set(namespace)
