@@ -18,11 +18,19 @@ The package namespace holds the functions that the demos and the
 benchmark reach through it, and the types of their arguments and results,
 including the errors the command line maps to exit code 2.  Everything
 else is imported from its submodule.
+
+Only the numeric half needs numpy, so ``import postlie`` loads the
+symbolic half alone.  The numeric names below are served on first use
+through a module ``__getattr__``, which imports :mod:`postlie.geomint`
+then, and numpy with it; ``postlie experiment`` is the only subcommand
+that loads it.
 """
 
 from .trees import (
     CapacityError,
+    ConfigurationError,
     Forest,
+    NumericError,
     ParseError,
     PlanarTree,
     enumerate_forests,
@@ -53,19 +61,34 @@ from .series import (
     log_gl,
     modified_field,
 )
-from .geomint import (
-    ConfigurationError,
-    ExperimentConfig,
-    ExperimentResult,
-    NumericError,
-    divergence,
-    divergence_free_field,
-    geometric_grid,
-    make_reference_stepper,
-    random_rotation,
-    run_experiment,
-    step_volume,
-)
+
+# Public names of postlie.geomint, bound here on first use.
+_NUMERIC = frozenset({
+    "ExperimentConfig",
+    "ExperimentResult",
+    "divergence",
+    "divergence_free_field",
+    "geometric_grid",
+    "make_reference_stepper",
+    "random_rotation",
+    "run_experiment",
+    "step_volume",
+})
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import geomint
+
+    value = getattr(geomint, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _NUMERIC)
+
 
 __version__ = "0.1.0"
 

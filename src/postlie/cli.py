@@ -27,10 +27,9 @@ from typing import Sequence
 from .algebroid import (AlgebroidElement, concat_mul, gl_antipode, gl_product,
                         parse_element, theta, triangle)
 from .checks import SUITES
-from .geomint import (ConfigurationError, ExperimentConfig, NumericError,
-                      geometric_grid, run_experiment)
 from .series import exp_gl, field_series, modified_field
-from .trees import CapacityError, ParseError, enumerate_forests
+from .trees import (CapacityError, ConfigurationError, NumericError, ParseError,
+                    enumerate_forests)
 
 BINARY_OPS = {
     "gl": gl_product,
@@ -251,21 +250,30 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig(
+    # Imported here: the only subcommand that needs numpy.
+    from . import geomint
+
+    cfg = geomint.ExperimentConfig(
         kind=args.action,
         method=_resolve(args, "method", "lie-euler"),
         group=_resolve(args, "group", "so3"),
         field=_resolve(args, "field", "q33-curl"),
-        t_grid=geometric_grid(_resolve(args, "t_min", 1e-3, float),
-                              _resolve(args, "t_max", 1e-1, float),
-                              _size(args, "t_points", 8)),
+        t_grid=geomint.geometric_grid(_resolve(args, "t_min", 1e-3, float),
+                                      _resolve(args, "t_max", 1e-1, float),
+                                      _size(args, "t_points", 8)),
         base_point=_resolve(args, "base_point", "random"),
         derivatives=_resolve(args, "derivatives", "analytic"),
         seed=_resolve(args, "seed", 0, int),
         out=_resolve(args, "out", None),
         threads=_resolve(args, "threads", 1, int),
     )
-    result = run_experiment(cfg)
+    if cfg.out:
+        # Fail on an unwritable target before any row runs.  Appending
+        # creates the file but keeps an existing one's contents until the
+        # result replaces them.
+        with open(cfg.out, "a"):
+            pass
+    result = geomint.run_experiment(cfg)
     _emit(_header({"command": f"experiment-{cfg.kind}", "method": cfg.method,
                    "group": cfg.group, "field": cfg.field,
                    "t-points": len(cfg.t_grid), "threads": cfg.threads,

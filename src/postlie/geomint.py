@@ -16,7 +16,7 @@ scalar functions.  The pieces:
 * evaluation            ``eval_tree`` / ``forest_operator_fn`` / ``aroma_fn``
                         realize trees, words and aromas on the group.
 * steppers              plain and preprocessed geodesic (Lie-Euler) steps,
-                        adaptive and fixed-step reference integrators.
+                        and a fixed-step reference integrator.
 * diagnostics           ``step_volume`` (log-determinant of a step map
                         between exponential charts), ``slope_estimate``,
                         and the volume / accuracy experiment drivers.
@@ -57,7 +57,6 @@ import functools
 import math
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -67,16 +66,8 @@ import numpy as np
 from .algebroid import AlgebroidElement
 from .coeffs import AromaGenerator, CoeffPoly
 from .series import DIV_AROMA, modified_field
-from .trees import CapacityError, Forest, LEAF, PlanarTree, single
-
-
-class ConfigurationError(ValueError):
-    """A requested mode, recipe or option is unavailable."""
-
-
-class NumericError(RuntimeError):
-    """A numeric operation left its domain of validity."""
-
+from .trees import (CapacityError, ConfigurationError, Forest, NumericError,
+                    PlanarTree)
 
 EVAL_MAX_GRADE = 5
 
@@ -216,15 +207,6 @@ def _det3(J: np.ndarray):
     d, e, f = J[1]
     g, h, i = J[2]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def project_orthogonal(Q: np.ndarray) -> np.ndarray:
-    """Nearest rotation to Q (orthogonal polar factor, det +1)."""
-    U, _, Vt = np.linalg.svd(np.asarray(Q, dtype=float))
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        R = U @ np.diag([1.0] * (Q.shape[0] - 1) + [-1.0]) @ Vt
-    return R
 
 
 # ---------------------------------------------------------------------------
@@ -586,31 +568,6 @@ def connection(Y: FrameVectorField, X: FrameVectorField, p) -> np.ndarray:
     return np.array(out, dtype=yv.dtype)
 
 
-def connection_field(Y: FrameVectorField, X: FrameVectorField) -> FrameVectorField:
-    """The field Y > X with symbolic coefficients Y[x^i]."""
-    return FrameVectorField(Y.frame, tuple(Y.apply_to(c) for c in X.coeffs))
-
-
-def torsion_bracket(X: FrameVectorField, Y: FrameVectorField, p) -> np.ndarray:
-    """Pointwise frame bracket  (x^i y^j c[i][j][k])_k  at p."""
-    return X.frame.bracket(X.values(p), Y.values(p))
-
-
-def jacobi_bracket_fd(X: FrameVectorField, Y: FrameVectorField, p,
-                      step: float = 1e-6) -> np.ndarray:
-    """Jacobi-Lie bracket of the ambient extensions, by central differences.
-
-    Serves as the oracle for the decomposition
-    jacobi(X, Y) = torsion(X, Y) + X > Y - Y > X.
-    """
-    p = np.asarray(p, dtype=float)
-    xt = X.tangent(p)
-    yt = Y.tangent(p)
-    dy = (Y.tangent(p + step * xt) - Y.tangent(p - step * xt)) / (2 * step)
-    dx = (X.tangent(p + step * yt) - X.tangent(p - step * yt)) / (2 * step)
-    return X.frame.vee(p.T @ (dy - dx))
-
-
 def divergence(F: FrameVectorField, p):
     """Frame divergence  sum_i E_i[f^i]  at p."""
     total = 0
@@ -824,14 +781,20 @@ _DEXPINV_EVEN = (Fraction(1, 12), Fraction(-1, 720), Fraction(1, 30240),
                  Fraction(-1, 1209600))
 
 
+@functools.lru_cache(maxsize=None)
+def _dexpinv_even(dt: np.dtype) -> tuple:
+    """The even series coefficients cast to ``dt``, once per dtype."""
+    return tuple(_cast_coeff(dt, c) for c in _DEXPINV_EVEN)
+
+
 def dexpinv(frame: GroupFrame, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Inverse exponential differential  w - [u,w]/2 + ... through ad^8."""
     dt = w.dtype if w.dtype.kind == "f" else np.dtype(float)
     acc = w - frame.bracket(u, w) / 2
     cur = w
-    for c in _DEXPINV_EVEN:
+    for c in _dexpinv_even(dt):
         cur = frame.bracket(u, frame.bracket(u, cur))
-        acc = acc + _cast_coeff(dt, c) * cur
+        acc = acc + c * cur
     return acc
 
 
@@ -843,37 +806,6 @@ def _chart_rhs(frame: GroupFrame, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
     right-invariant convention.
     """
     return dexpinv(frame, -u, xi)
-
-
-def reference_flow(F: FrameVectorField, p, t, tol: float = 1e-12) -> np.ndarray:
-    """High-accuracy flow of F by adaptive integration in exponential charts.
-
-    The chart is re-centered after every segment and the factor is
-    re-projected to the group, so orthogonality drift stays below 1e-12.
-    """
-    if tol < 1e-13:
-        raise ValueError("tolerance below supported floor 1e-13")
-    # Imported here: scipy.integrate costs most of the package's import time.
-    from scipy.integrate import solve_ivp
-
-    frame = F.frame
-    base = np.asarray(p, dtype=float)
-    if t == 0:
-        return base.copy()
-    n_seg = max(1, int(math.ceil(abs(t) / 0.1)))
-    h = t / n_seg
-
-    def rhs(_, u):
-        y = frame.chart_to(base, u)
-        return _chart_rhs(frame, u, F.values(y))
-
-    for _ in range(n_seg):
-        sol = solve_ivp(rhs, (0.0, h), np.zeros(frame.dim), method="DOP853",
-                        rtol=tol, atol=tol)
-        if not sol.success:
-            raise NumericError(f"reference integration failed: {sol.message}")
-        base = project_orthogonal(frame.chart_to(base, sol.y[:, -1]))
-    return base
 
 
 def make_reference_stepper(F: FrameVectorField):
@@ -1132,6 +1064,9 @@ def _base_point(cfg: ExperimentConfig, frame: GroupFrame) -> np.ndarray:
 
 def _map_rows(fn, grid: Sequence[float], threads: int) -> tuple:
     if threads > 1:
+        # Imported here: a one-thread run, the default, never needs it.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return tuple(pool.map(fn, grid))
     return tuple(fn(t) for t in grid)

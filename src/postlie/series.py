@@ -9,9 +9,9 @@ products keep it by construction and build their results unchecked.
 
 The module provides the two exponentials (Grossman-Larson and
 concatenation), the Grossman-Larson logarithm used for backward error
-analysis, flow composition, and the degree-3 preprocessed field whose
-aroma coefficient is the opaque generator ``DIV_AROMA``; its numeric
-meaning is supplied by the frame-evaluation layer.
+analysis, and the degree-3 preprocessed field whose aroma coefficient is
+the opaque generator ``DIV_AROMA``; its numeric meaning is supplied by
+the frame-evaluation layer.
 
 The exponentials and the logarithm are one power sum,
 sum weight(n) . z^n, with weights 1/n! and (-1)^(n+1)/n.  A series is
@@ -342,16 +342,6 @@ def log_gl(s: TruncatedSeries, order: int) -> TruncatedSeries:
     z = s.truncate(order) - TruncatedSeries.one(order)
     return _power_sum(z, order, gl_product, _gl_words,
                       lambda n: Fraction((-1) ** (n + 1), n), unit=False)
-
-
-def compose_gl(s2: TruncatedSeries, s1: TruncatedSeries) -> TruncatedSeries:
-    """Flow composition: the degreewise Grossman-Larson product s2 * s1."""
-    order = min(s2.order, s1.order)
-    a, b = _pure(s2), _pure(s1)
-    if a is None or b is None:
-        return TruncatedSeries._raw(
-            order, _element_product(s2.coeffs, s1.coeffs, gl_product, order))
-    return _from_pure(order, _pure_product(a, b, _gl_words, order))
 
 
 # ---------------------------------------------------------------------------

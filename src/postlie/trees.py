@@ -56,6 +56,16 @@ class CapacityError(RuntimeError):
     """A request exceeded a configured grade bound."""
 
 
+# The numeric layer's errors live here too, so that the command line can
+# catch them without importing that layer, and numpy with it.
+class ConfigurationError(ValueError):
+    """A requested mode, recipe or option is unavailable."""
+
+
+class NumericError(RuntimeError):
+    """A numeric operation left its domain of validity."""
+
+
 class PlanarTree:
     """A planar (ordered) rooted tree, interned; its fields are never assigned.
 

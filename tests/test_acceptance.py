@@ -26,7 +26,6 @@ from postlie.checks import (
 from postlie.coeffs import CoeffPoly
 from postlie.geomint import (
     ExperimentConfig,
-    connection_field,
     element_tangent_matrix,
     eval_tree,
     geometric_grid,
@@ -40,6 +39,8 @@ from postlie.geomint import (
 )
 from postlie.series import exp_concat, exp_gl, field_series, log_gl, modified_field
 from postlie.trees import left_graft, parse_forest, trees_of_size
+
+from oracles import connection_field
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -446,13 +446,26 @@ def test_experiment_bounds_exit_2_before_any_row(capsys, monkeypatch, argv):
     def no_rows(cfg):
         raise AssertionError("experiment started")
 
-    monkeypatch.setattr("postlie.cli.run_experiment", no_rows)
+    monkeypatch.setattr("postlie.geomint.run_experiment", no_rows)
     threads_before = threading.active_count()
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_experiment_unwritable_out_exits_2_before_any_row(capsys, monkeypatch,
+                                                          tmp_path, target):
+    def no_rows(cfg):
+        raise AssertionError("experiment started")
+
+    monkeypatch.setattr("postlie.geomint.run_experiment", no_rows)
+    code, out, err = run(capsys, *EXP_ARGS, "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_experiment_order_kind(capsys):
@@ -516,6 +529,57 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == ["1", "o"]
+
+
+# -- start-up: the symbolic half runs without numpy
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_symbolic_commands_do_not_load_numpy():
+    out = _fresh_python("""if True:
+        import contextlib, io, sys
+        import postlie, postlie.cli
+        print("import", "numpy" in sys.modules)
+        for argv in (["trees", "enumerate"],
+                     ["algebra", "eval", "--op", "antipode", "--left", "o [o]"],
+                     ["algebra", "check", "--suite", "smash", "--max-grade", "1",
+                      "--samples", "0"],
+                     ["series", "gl-exp", "--order", "3"],
+                     ["experiment", "volume", "--t-points", "5"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = postlie.cli.main(argv)
+            print(argv[0], argv[1], code, "numpy" in sys.modules)
+        """)
+    assert out.splitlines() == [
+        "import False",
+        "trees enumerate 0 False",
+        "algebra eval 0 False",
+        "algebra check 0 False",
+        "series gl-exp 0 False",
+        "experiment volume 0 True",
+    ]
+
+
+def test_numeric_names_load_on_first_use():
+    out = _fresh_python("""if True:
+        import sys
+        import postlie
+        print(hasattr(postlie, "no_such_name"), "numpy" in sys.modules)
+        print(postlie.run_experiment is postlie.geomint.run_experiment,
+              postlie.geomint.ConfigurationError is postlie.ConfigurationError,
+              postlie.geomint.NumericError is postlie.NumericError,
+              "numpy" in sys.modules)
+        """)
+    assert out.splitlines() == ["False False", "True True True True"]
 
 
 def test_python_dash_m_package_runs_cli(capsys):

@@ -29,21 +29,20 @@ from postlie.geomint import (
     eval_tree,
     forest_operator_fn,
     geometric_grid,
-    jacobi_bracket_fd,
     lie_euler_step,
     make_aromatic_stepper,
     make_field,
     make_reference_stepper,
     make_stepper,
     random_rotation,
-    reference_flow,
     run_experiment,
     slope_estimate,
     so3,
     step_volume,
-    torsion_bracket,
 )
 from postlie.trees import parse_forest, parse_tree
+
+from oracles import jacobi_bracket_fd, reference_flow, torsion_bracket
 
 
 def rot(seed: int, dtype=float) -> np.ndarray:

@@ -13,7 +13,6 @@ from postlie.coeffs import CoeffPoly
 from postlie.series import (
     DIV_AROMA,
     TruncatedSeries,
-    compose_gl,
     exp_concat,
     exp_gl,
     field_series,
@@ -22,6 +21,8 @@ from postlie.series import (
     preprocessed_field,
 )
 from postlie.trees import forests_of_grade
+
+from oracles import compose_gl
 
 
 def el(text: str) -> AlgebroidElement:
