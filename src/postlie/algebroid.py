@@ -27,7 +27,8 @@ The structure maps:
                     coefficient (what a forest does to a scalar function,
                     expressed in free derivations).
 * ``theta``         the gl antipode twisted onto coefficient-carrying
-                    elements through ``word_action``.
+                    elements through ``_twisted``, the loop that
+                    ``braiding.reduce_pairs`` shares.
 
 On pure words, triangle and the gl product are integer kernels
 (``_triangle_words``, ``_gl_words``).  A word acts on a product through
@@ -69,9 +70,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Union
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Union
 
 from .coeffs import CoeffPoly, Scalar
 from .trees import (
@@ -111,6 +113,18 @@ def _bump(acc: dict[Hashable, Scalar], w: Hashable, m: Scalar) -> None:
         acc[w] = n
     else:
         acc.pop(w, None)
+
+
+def _outer(a: _Combination, b: _Combination,
+           key: Callable[[Hashable, Hashable], Hashable]) -> dict:
+    """sum  (f . g) key(w, v)  over the terms f . w of a and g . v of b:
+    concatenation with ``key`` the word sum, the tensor product with
+    ``key`` the pair."""
+    acc: dict = {}
+    for w, f in a.terms.items():
+        for v, g in b.terms.items():
+            _accumulate(acc, key(w, v), f * g)
+    return acc
 
 
 class _Combination:
@@ -225,18 +239,6 @@ class AlgebroidElement(_Combination):
         """Embed a coefficient as f . (empty word)."""
         return AlgebroidElement({EMPTY_FOREST: f})
 
-    def __mul__(self, other) -> "AlgebroidElement":
-        if isinstance(other, AlgebroidElement):
-            return concat_mul(self, other)
-        if isinstance(other, (int, Fraction, CoeffPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "AlgebroidElement":
-        if isinstance(other, (int, Fraction, CoeffPoly)):
-            return self.scale(other)
-        return NotImplemented
-
     def max_grade(self) -> int:
         """Largest combined grade (word grade + coefficient degree)."""
         if not self.terms:
@@ -254,11 +256,7 @@ class AlgebroidElement(_Combination):
 
 
 def concat_mul(a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
-    acc: dict[Forest, CoeffPoly] = {}
-    for w, f in a.terms.items():
-        for v, g in b.terms.items():
-            _accumulate(acc, w + v, f * g)
-    return AlgebroidElement(acc)
+    return AlgebroidElement(_outer(a, b, operator.add))
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,11 +323,7 @@ class TensorElement(_Combination):
 
     @staticmethod
     def of(a: AlgebroidElement, b: AlgebroidElement) -> "TensorElement":
-        acc: dict[tuple[Forest, Forest], CoeffPoly] = {}
-        for w, f in a.terms.items():
-            for v, g in b.terms.items():
-                _accumulate(acc, (w, v), f * g)
-        return TensorElement(acc)
+        return TensorElement(_outer(a, b, lambda w, v: (w, v)))
 
 
 def coproduct(a: AlgebroidElement) -> TensorElement:
@@ -608,25 +602,33 @@ def word_action(d: Mapping[Forest, Scalar], f: CoeffPoly) -> CoeffPoly:
 # Theta
 
 
+def _twisted(f: CoeffPoly, w: Forest) -> Iterator[tuple[Forest, CoeffPoly]]:
+    """The pairs  (w1, m . (S(w2) -> f))  over the unshuffle splittings
+    (w1, w2, m) of w, with S the pure-word gl antipode, zeros skipped:
+    how a coefficient f on w moves across the antipode.  ``theta`` and
+    ``braiding.reduce_pairs`` both run on it."""
+    act = _Derivatives(f).act
+    for w1, w2, m in word_splits(w):
+        g = act(gl_antipode_word(w2))
+        if not g.is_zero():
+            yield w1, g.scale(m)
+
+
 def theta(a: AlgebroidElement) -> AlgebroidElement:
     """The gl antipode twisted to coefficient-carrying elements:
 
-        theta(f . w)  =  sum  (S(w1) -> f) . S(w2)
+        theta(f . w)  =  sum  (S(w2) -> f) . S(w1)
 
-    over unshuffle splittings of w, with S the pure-word gl antipode.
+    over unshuffle splittings of w, with S the pure-word gl antipode (the
+    unshuffle coproduct is cocommutative, so the legs may be swapped).
     On pure elements this collapses to the gl antipode itself.
     """
     acc: dict[Forest, CoeffPoly] = {}
     for w, f in a.terms.items():
         _guard(w.grade + f.degree())
-        act = _Derivatives(f).act
-        for w1, w2, mult in word_splits(w):
-            coeff = act(gl_antipode_word(w1))
-            if coeff.is_zero():
-                continue
-            coeff = coeff.scale(mult)
-            for v, m in gl_antipode_word(w2).items():
-                _accumulate(acc, v, coeff.scale(m))
+        for w1, g in _twisted(f, w):
+            for v, m in gl_antipode_word(w1).items():
+                _accumulate(acc, v, g.scale(m))
     return AlgebroidElement._raw(acc)
 
 

@@ -15,7 +15,9 @@ separate and runs the kernel through the algebroid's smash loop,
 
 which is exact because the unshuffle coproduct is coassociative and the
 right output leg theta(x2 > y2) * x3 * y3 is always pure.  The two
-evaluations agree whenever the right factor is pure.
+evaluations agree whenever the right factor is pure.  ``reduce_pairs``
+compares sums of element pairs by moving each left coefficient across
+the tensor with the algebroid's ``_twisted``, the loop ``theta`` runs on.
 
 ``check_braiding`` verifies the six braiding axioms and the counit
 consequence on pure tensors, and the two scalar-slot identities (left
@@ -34,11 +36,11 @@ from .algebroid import (
     TensorElement,
     _accumulate,
     _bump,
-    _Derivatives,
     _gl_words,
     _guard,
     _smash,
     _triangle_words,
+    _twisted,
     counit,
     gl_antipode_word,
     gl_product,
@@ -142,12 +144,7 @@ def reduce_pairs(
     acc: dict[_Pair, CoeffPoly] = {}
     for a, b in pairs:
         for w, c in a.terms.items():
-            act = _Derivatives(c).act
-            for w1, w2, m in word_splits(w):
-                g = act(gl_antipode_word(w2))
-                if g.is_zero():
-                    continue
-                g = g.scale(m)
+            for w1, g in _twisted(c, w):
                 for v, d in b.terms.items():
                     _accumulate(acc, (w1, v), g * d)
     return acc

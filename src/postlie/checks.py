@@ -3,11 +3,12 @@
 Each identity is written once, as a module-level predicate on the
 operands of one case.  A suite is a list of ``(axiom, cases, predicate)``
 rows run in order by ``_run_suite``, exhaustively on small basis data and
-on seeded random samples, with one ``CheckReport`` per row.  ``SUITES``
-names all six suites, the braiding suite of :mod:`postlie.braiding`
-included.  The command line front end prints their reports; the test
-suite asserts on them.  Keeping them here means CI can run every suite
-without going through the CLI.
+on seeded random samples, with one ``CheckReport`` per row.
+:mod:`postlie.braiding` builds its suite on the same runner, so this
+module imports nothing from it; the registry ``SUITES`` of all six suites
+lives in :mod:`postlie.cli`, whose ``algebra check`` prints their
+reports.  The test suite asserts on them.  Keeping them here means CI
+can run every suite without going through the CLI.
 
 Conventions: "exhaustive up to grade G" ranges over tuples of basis
 forests whose *total* grade is at most G (the bound controls problem
@@ -41,8 +42,8 @@ from .algebroid import (
     word_splits,
 )
 from .coeffs import AromaGenerator, CoeffPoly
-from .trees import (DEFAULT_MAX_GRADE, EMPTY_FOREST, CapacityError, Forest,
-                    forests_of_grade, trees_of_size)
+from .trees import (DEFAULT_MAX_GRADE, CapacityError, Forest, forests_of_grade,
+                    trees_of_size)
 
 
 @dataclass
@@ -522,18 +523,3 @@ def suite_degenerate(max_grade: int = 5, samples: int = 100, seed: int = 0) -> l
         ("theta-is-gl-antipode", singles, theta_is_gl_antipode),
         ("concat-antipode-law", singles, concat_antipode_law),
     ], max_grade, seed)
-
-
-# The braiding suite runs through ``_run_suite``, so it is imported only
-# now that this module is complete.
-from .braiding import check_braiding  # noqa: E402
-
-#: Every identity suite by name, as ``algebra check --suite`` takes it.
-SUITES: dict[str, Callable[..., list[CheckReport]]] = {
-    "axioms": suite_axioms,
-    "gl": suite_gl,
-    "theta": suite_theta,
-    "smash": suite_smash,
-    "degenerate": suite_degenerate,
-    "braiding": check_braiding,
-}

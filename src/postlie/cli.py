@@ -22,11 +22,13 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebroid import (AlgebroidElement, concat_mul, gl_antipode, gl_product,
                         parse_element, theta, triangle)
-from .checks import SUITES
+from .braiding import check_braiding
+from .checks import (CheckReport, suite_axioms, suite_degenerate, suite_gl,
+                     suite_smash, suite_theta)
 from .series import exp_gl, field_series, modified_field
 from .trees import (CapacityError, ConfigurationError, NumericError, ParseError,
                     enumerate_forests)
@@ -39,6 +41,15 @@ BINARY_OPS = {
 UNARY_OPS = {
     "theta": theta,
     "antipode": gl_antipode,
+}
+#: Every identity suite by name, as ``algebra check --suite`` takes it.
+SUITES: dict[str, Callable[..., list[CheckReport]]] = {
+    "axioms": suite_axioms,
+    "gl": suite_gl,
+    "theta": suite_theta,
+    "smash": suite_smash,
+    "degenerate": suite_degenerate,
+    "braiding": check_braiding,
 }
 # Largest operand grade the unary ops take.  Timed in fresh processes on
 # a 2-core VM, theta and the antipode of the grade-10 words o^10, [o] o^8,

@@ -258,9 +258,6 @@ class MatrixPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __add__(self, other: "MatrixPoly") -> "MatrixPoly":
         acc = dict(self.terms)
         for exps, c in other.terms.items():
@@ -463,11 +460,6 @@ class NumericCoeff:
     @staticmethod
     def entry(frame: GroupFrame, a: int, b: int) -> "NumericCoeff":
         return NumericCoeff(frame, lambda Q: np.asarray(Q)[a, b])
-
-    @staticmethod
-    def const(frame: GroupFrame, c) -> "NumericCoeff":
-        c = float(c)
-        return NumericCoeff(frame, lambda Q: c)
 
     def value(self, Q):
         A = np.asarray(Q)

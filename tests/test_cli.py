@@ -16,8 +16,8 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from postlie import checks
-from postlie.cli import BINARY_OPS, MAX_OPERAND_TERMS, MAX_SAMPLES, UNARY_OPS, main
+from postlie.checks import CheckReport
+from postlie.cli import BINARY_OPS, MAX_OPERAND_TERMS, MAX_SAMPLES, SUITES, UNARY_OPS, main
 from postlie.trees import forests_of_grade
 
 
@@ -140,7 +140,7 @@ GATE_CALLS = {
 
 @pytest.mark.parametrize("suite", sorted(GATE_CALLS))
 def test_algebra_check_passes_only_given_sizes(capsys, monkeypatch, suite):
-    fn = checks.SUITES[suite]
+    fn = SUITES[suite]
     calls = []
 
     @functools.wraps(fn)
@@ -150,7 +150,7 @@ def test_algebra_check_passes_only_given_sizes(capsys, monkeypatch, suite):
         calls.append(dict(bound.arguments))
         return []
 
-    monkeypatch.setitem(checks.SUITES, suite, record)
+    monkeypatch.setitem(SUITES, suite, record)
     gate = GATE_CALLS[suite]
     code, out, _ = run(capsys, "algebra", "check", "--suite", suite)
     assert code == 0
@@ -162,6 +162,25 @@ def test_algebra_check_passes_only_given_sizes(capsys, monkeypatch, suite):
     assert code == 0
     assert calls[1] == dict(gate, max_grade=2, samples=5, seed=11)
     assert out.endswith("max-grade=2 samples=5 seed=11\n")
+
+
+def test_algebra_check_failing_identity_exits_1(capsys, monkeypatch):
+    def failing(max_grade=1, samples=2, seed=0):
+        return [CheckReport("smash", "holds", 3, 0, max_grade, seed),
+                CheckReport("smash", "breaks", 3, 2, max_grade, seed, witness="o;[o]"),
+                CheckReport("smash", "also-breaks", 4, 1, max_grade, seed, witness="1")]
+
+    monkeypatch.setitem(SUITES, "smash", failing)
+    code, out, err = run(capsys, "algebra", "check", "--suite", "smash", "--seed", "5")
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "# postlie command=algebra-check suite=smash max-grade=1 samples=2 seed=5",
+        "axiom=holds cases=3 status=pass",
+        "axiom=breaks cases=3 status=fail witness=o;[o]",
+        "axiom=also-breaks cases=4 status=fail witness=1",
+        "# 2 identity(ies) failed; first counterexample on the witness field",
+    ]
 
 
 def test_algebra_check_unknown_suite(capsys):
@@ -220,7 +239,7 @@ METHOD = st.sampled_from(("lie-euler", "aromatic"))
 
 COMMANDS = st.one_of(
     _command(["trees", "enumerate"], {}, {"max-grade": GRADE, "seed": SEED}),
-    st.sampled_from(sorted(checks.SUITES)).flatmap(lambda suite: _command(
+    st.sampled_from(sorted(SUITES)).flatmap(lambda suite: _command(
         ["algebra", "check", "--suite", suite],
         {"max-grade": GRADE, "samples": st.integers(-2, 3)}, {"seed": SEED})),
     _command(["series", "gl-exp"], {"order": ORDER}, {"seed": SEED}),

@@ -12,8 +12,10 @@ import pytest
 
 from postlie.algebroid import AlgebroidElement, parse_element
 from postlie.cli import main as cli_main
+from postlie.coeffs import AromaGenerator
 from postlie.geomint import (
     AnalyticCoeff,
+    CapacityError,
     ConfigurationError,
     ExperimentConfig,
     FrameVectorField,
@@ -25,6 +27,7 @@ from postlie.geomint import (
     divergence,
     divergence_free_field,
     _aromatic_series,
+    aroma_fn,
     element_tangent_matrix,
     eval_tree,
     forest_operator_fn,
@@ -39,6 +42,7 @@ from postlie.geomint import (
     slope_estimate,
     so3,
     step_volume,
+    tree_field,
 )
 from postlie.trees import parse_forest, parse_tree
 
@@ -321,6 +325,45 @@ def test_constant_fields_bracket_to_structure(frame):
     assert np.allclose(jacobi_bracket_fd(E1, E2, p), [0, 0, 1], atol=1e-6)
     assert np.allclose(torsion_bracket(E1, E2, p), [0, 0, 1])
     assert np.allclose(connection(E1, E2, p), 0)
+
+
+def _frame_with(frame: GroupFrame, structure) -> GroupFrame:
+    return GroupFrame("bad", 3, frame.basis, np.asarray(structure, dtype=float),
+                      frame.exp_map, frame.log_map)
+
+
+def _constants(*brackets) -> np.ndarray:
+    """Antisymmetric structure constants with [e_i, e_j] = e_k for each
+    (i, j, k) given, and every other bracket zero."""
+    c = np.zeros((3, 3, 3))
+    for i, j, k in brackets:
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    return c
+
+
+# Each raise of the frame check and of the evaluation bounds: what
+# triggers it, the error type and its message.
+NUMERIC_ERRORS = {
+    "frame-shape": (lambda F: _frame_with(F.frame, np.zeros((3, 3, 2))),
+                    ConfigurationError, "must be d x d x d"),
+    "frame-jacobi": (lambda F: _frame_with(F.frame, _constants((0, 1, 2), (1, 2, 1))),
+                     ConfigurationError, "fail the Jacobi identity"),
+    "frame-unimodular": (lambda F: _frame_with(F.frame, _constants((0, 1, 0))),
+                         ConfigurationError, "not unimodular"),
+    "frame-basis": (lambda F: _frame_with(F.frame, -F.frame.structure),
+                    ConfigurationError, "basis brackets disagree"),
+    "tree-grade": (lambda F: tree_field(parse_tree("[[[[[o]]]]]"), F),
+                   CapacityError, "grade 6 exceeds evaluation bound 5"),
+    "aroma-base": (lambda F: aroma_fn(AromaGenerator("g"), F),
+                   ConfigurationError, "unknown aroma generator 'g'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_ERRORS))
+def test_numeric_layer_rejects(field, case):
+    make, error, message = NUMERIC_ERRORS[case]
+    with pytest.raises(error, match=message):
+        make(field)
 
 
 # -- tree and element evaluation
