@@ -20,6 +20,7 @@ flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from typing import Callable, Sequence
@@ -76,7 +77,10 @@ MAX_OPERAND_TERMS = 4
 MAX_SAMPLES = 200
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and ``--suite`` reads ``SUITES`` at parse time."""
     top = argparse.ArgumentParser(prog="postlie")
     sub = top.add_subparsers(dest="command", required=True)
 

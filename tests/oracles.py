@@ -1,18 +1,22 @@
 """Reference computations that only the tests use.
 
 Each one checks the package from outside: flow composition of series,
-the adaptive reference flow of a frame field, and the pieces of the
-bracket decomposition  jacobi(X, Y) = torsion(X, Y) + X > Y - Y > X.
+the adaptive reference flow of a frame field, the pieces of the
+bracket decomposition  jacobi(X, Y) = torsion(X, Y) + X > Y - Y > X,
+and the one-point-at-a-time loops that polynomial evaluation and
+``step_volume`` replaced with stacked passes.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from postlie.algebroid import _gl_words, gl_product
-from postlie.geomint import FrameVectorField, _chart_rhs
+from postlie.geomint import (FrameVectorField, GroupFrame, MatrixPoly, _cast_coeff,
+                             _chart_rhs, _det3, _dexpinv_even, so3)
 from postlie.series import (TruncatedSeries, _element_product, _from_pure, _pure,
                             _pure_product)
 from postlie.trees import NumericError
@@ -91,3 +95,56 @@ def reference_flow(F: FrameVectorField, p, t, tol: float = 1e-12) -> np.ndarray:
             raise NumericError(f"reference integration failed: {sol.message}")
         base = project_orthogonal(frame.chart_to(base, sol.y[:, -1]))
     return base
+
+
+def poly_value_terms(poly: MatrixPoly, Q):
+    """A polynomial at one matrix, term by term: each term is its
+    coefficient times its factors in entry order, summed from zero."""
+    A = np.asarray(Q)
+    flat = A.reshape(-1)
+    dt = A.dtype if A.dtype.kind == "f" else None
+    total = _cast_coeff(dt, Fraction(0))
+    for exps, c in poly.terms.items():
+        term = _cast_coeff(dt, c)
+        for v, e in enumerate(exps):
+            if e == 1:
+                term = term * flat[v]
+            elif e:
+                term = term * flat[v] ** e
+        total = total + term
+    return total
+
+
+def dexpinv_brackets(frame: GroupFrame, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The series  w - [u,w]/2 + sum_k c_k ad_u^2k w  at one point, one
+    ``frame.bracket`` per power of ad_u."""
+    acc = w - frame.bracket(u, w) / 2
+    cur = w
+    for c in _dexpinv_even(w.dtype):
+        cur = frame.bracket(u, frame.bracket(u, cur))
+        acc = acc + c * cur
+    return acc
+
+
+def step_volume_columns(stepper, p, t, frame: GroupFrame | None = None):
+    """``step_volume`` with one stepper call per point: the image of p,
+    then the two perturbed points of each chart direction in turn."""
+    A = np.asarray(p)
+    if frame is None:
+        frame = so3()
+    h = A.dtype.type(max(1e-5, abs(t) * 1e-3))
+    q = stepper(A, t)
+    d = frame.dim
+    cols = []
+    for i in range(d):
+        u = np.zeros(d, dtype=A.dtype)
+        u[i] = h
+        plus = frame.chart_from(q, stepper(frame.chart_to(A, u), t))
+        u[i] = -h
+        minus = frame.chart_from(q, stepper(frame.chart_to(A, u), t))
+        cols.append((plus - minus) / (2 * h))
+    J = np.stack(cols, axis=1)
+    det = _det3(J) if d == 3 else np.linalg.det(np.asarray(J, dtype=float))
+    if det == 0 or not np.isfinite(det):
+        raise NumericError("singular step Jacobian")
+    return np.log(np.abs(det))

@@ -413,6 +413,39 @@ def test_experiment_volume_stdout(capsys):
     assert lines[-1].startswith("# slope=")
 
 
+# sha256 of the whole stdout, header line included, pinned from the
+# steppers that took one point per call, before they took stacks.
+@pytest.mark.parametrize("kind, method, derivatives, seed, digest", [
+    ("volume", "lie-euler", "analytic", "1",
+     "60df5ed2679100ef7f33275e6751988ed1ce772f5f09c5be7f71b0af4aee383b"),
+    ("volume", "aromatic", "analytic", "1",
+     "d55e55180f23ad5257b61f0f5d31c738d99fbf40bd6ae4289e487048f411ce68"),
+    ("volume", "aromatic", "fd", "1",
+     "85b6cf69a0afbb84a4557489bdb306855543d51e6d0446809d81e9531a6b2974"),
+    ("order", "lie-euler", "analytic", "1",
+     "5c5b73c0d612eae7ad6acfabfbc774ca97f5f7cf853e281a022de2d37af9cc8a"),
+    ("order", "aromatic", "analytic", "1",
+     "f4e07bf9505b4ef63402b1987d24decd8bb134dae6fb2c510f3c5e73e07030a4"),
+    ("volume", "lie-euler", "analytic", "300",
+     "fcc68a369510152c2e90c94dc3eadad09094a0f2e09bea4e7e1fb0ad0abe135d"),
+    ("volume", "aromatic", "analytic", "300",
+     "8d14fc6ff864085107b2166b12f42d7aeb7c65ef6da064a3063014f3fe788f34"),
+    ("volume", "aromatic", "fd", "300",
+     "ac8ef767664a1927728f7048fe77732d0fe18bd93968984763d91337da05deb2"),
+    ("order", "lie-euler", "analytic", "300",
+     "e1aeefc5d5abb72b9bc71f7fd606ee7a2dcb4a4f0a3cd10ecf544ce7f7fce9c3"),
+    ("order", "aromatic", "analytic", "300",
+     "9884afb847fff24491ea4436a28845b31c22c35b03b3f88e0bfeb331e20840ef"),
+])
+def test_experiment_stdout_golden(capsys, kind, method, derivatives, seed, digest):
+    code, out, _ = run(capsys, "experiment", kind, "--method", method,
+                       "--derivatives", derivatives, "--t-min", "1e-2",
+                       "--t-points", "5", "--seed", seed)
+    assert code == 0
+    assert len(out.splitlines()) == 2 + 5 + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_experiment_volume_out_file(capsys, tmp_path):
     target = tmp_path / "vol.csv"
     code, out, _ = run(capsys, *EXP_ARGS, "--out", str(target))
@@ -518,6 +551,22 @@ def test_config_file_alone(capsys, tmp_path):
     cfg.write_text("max-grade = 1\n")
     code, out, _ = run(capsys, "trees", "enumerate", "--config", str(cfg))
     assert "count=2" in out.splitlines()[0]
+
+
+def test_parser_is_built_once_and_keeps_no_run_state(capsys, tmp_path):
+    import postlie.cli
+
+    assert postlie.cli._build_parser() is postlie.cli._build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-grade = 1\nseed = 5\n")
+    plain = run(capsys, "trees", "enumerate")
+    with_file = run(capsys, "trees", "enumerate", "--config", str(cfg))
+    usage = run(capsys, "trees", "enumerate", "--max-grade", "-1")
+    # Neither the config file nor the usage error carries into later runs.
+    assert run(capsys, "trees", "enumerate") == plain
+    assert "max-grade=1" in with_file[1] and "seed=5" in with_file[1]
+    assert "max-grade=3" in plain[1] and "seed=0" in plain[1]
+    assert usage[0] == 2
 
 
 def test_config_file_malformed(capsys, tmp_path):

@@ -23,7 +23,10 @@ from postlie.geomint import (
     MatrixPoly,
     NumericCoeff,
     NumericError,
+    PolyGroup,
+    _step_volume_image,
     connection,
+    dexpinv,
     divergence,
     divergence_free_field,
     _aromatic_series,
@@ -46,7 +49,8 @@ from postlie.geomint import (
 )
 from postlie.trees import parse_forest, parse_tree
 
-from oracles import jacobi_bracket_fd, reference_flow, torsion_bracket
+from oracles import (dexpinv_brackets, jacobi_bracket_fd, poly_value_terms,
+                     reference_flow, step_volume_columns, torsion_bracket)
 
 
 def rot(seed: int, dtype=float) -> np.ndarray:
@@ -550,3 +554,159 @@ def test_order_experiment_smoke():
     res = run_experiment(cfg)
     assert len(res.rows) == 5
     assert 0.8 < res.slope < 1.2
+
+
+# -- stacks of points
+#
+# Every map below takes a stack (..., n, n) and must give each lane the
+# bits it gives that point alone.
+
+
+def bits(a) -> bytes:
+    """The bytes that hold the values of ``a``.  An x87 extended double
+    fills 10 of its 16 bytes; the other 6 are padding that arithmetic
+    leaves unset, so they are dropped."""
+    a = np.ascontiguousarray(a)
+    if a.dtype == np.longdouble and np.finfo(a.dtype).nmant == 63 \
+            and sys.byteorder == "little":
+        return a.view(np.uint8).reshape(a.shape + (a.dtype.itemsize,))[..., :10].tobytes()
+    return a.tobytes()
+
+
+def assert_lanes(f, stack, *rest):
+    """f(stack)[i] and f(stack[i]) agree bit for bit on every lane."""
+    out = f(stack, *rest)
+    assert out.shape[:stack.ndim - 2] == stack.shape[:-2]
+    for i in np.ndindex(*stack.shape[:-2]):
+        alone = np.asarray(f(stack[i], *rest))
+        assert alone.dtype == out.dtype
+        assert bits(out[i]) == bits(alone), i
+
+
+# Rotation angles on both sides of the Taylor thresholds: theta^2 < 1e-6
+# in the exponential, and sin(theta) < 1e-3 in the logarithm.
+ANGLES = (0.0, 1e-4, 9.99e-4, 1.0001e-3, 5e-3, 0.3, 1.9)
+
+
+def algebra_stack(frame, dtype=np.longdouble):
+    rng = random.Random(31)
+    rows = []
+    for theta in ANGLES:
+        axis = np.array([rng.uniform(-1, 1) for _ in range(3)])
+        rows.append(theta * axis / np.linalg.norm(axis))
+    return frame.hat(np.asarray(rows, dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+def test_exp_and_log_act_per_lane(frame, dtype):
+    X = algebra_stack(frame, dtype)
+    t2 = X[:, 2, 1] ** 2 + X[:, 0, 2] ** 2 + X[:, 1, 0] ** 2
+    assert (t2 < 1e-6).any() and (t2 >= 1e-6).any()
+    assert_lanes(frame.exp_map, X)
+    R = frame.exp_map(X)
+    s = np.sqrt(((R - np.swapaxes(R, 1, 2)) ** 2).sum(axis=(1, 2)) / 8)
+    assert (s < 1e-3).any() and (s >= 1e-3).any()
+    assert_lanes(frame.log_map, R)
+    # A stack of stacks, and stacks that take only one branch.
+    assert_lanes(frame.exp_map, X.reshape(7, 1, 3, 3))
+    assert_lanes(frame.exp_map, X[:2])
+    assert_lanes(frame.log_map, R[-2:])
+
+
+def test_log_rejects_a_far_lane(frame):
+    R = frame.exp_map(algebra_stack(frame))
+    far = frame.exp_map(frame.hat(np.array([0.0, 2.2, 0.0], dtype=np.longdouble)))
+    with pytest.raises(NumericError, match="too far from the chart center"):
+        frame.log_map(np.concatenate((R, far[None])))
+
+
+def test_hat_vee_and_charts_act_per_lane(frame):
+    X = algebra_stack(frame)
+    U = frame.vee(X)
+    assert_lanes(frame.vee, X)
+    out = frame.hat(U)
+    for i in range(len(U)):
+        assert bits(out[i]) == bits(frame.hat(U[i]))
+    p = rot(32, np.longdouble)
+    Q = frame.chart_to(p, U)
+    for i in range(len(U)):
+        assert bits(Q[i]) == bits(frame.chart_to(p, U[i]))
+    assert_lanes(lambda S: frame.chart_from(p, S), Q)
+    bases = frame.chart_to(p, U / 2)
+    both = frame.chart_from(bases, Q)
+    for i in range(len(U)):
+        assert bits(both[i]) == bits(frame.chart_from(bases[i], Q[i]))
+
+
+def test_poly_group_matches_term_loop(field):
+    """Each column of a group, on a stack or one point, has the bits of
+    the term-by-term loop over that polynomial at that point."""
+    polys = [c.poly for c in field.coeffs]
+    for _, x in _aromatic_series(3):
+        for w in x.terms:
+            polys += [forest_operator_fn(w, field, AnalyticCoeff.entry(field.frame, a, b)).poly
+                      for a in range(3) for b in range(3)]
+    polys += [MatrixPoly.zero(3), MatrixPoly.const(3, Fraction(-2, 3))]
+    # Enough terms that a pairwise or reordered sum would round differently.
+    linear = MatrixPoly.zero(3)
+    for a in range(3):
+        for b in range(3):
+            linear = linear + MatrixPoly.entry(3, a, b).scale(Fraction(a - 1, b + 3))
+    polys.append(linear * linear * linear)
+    group = PolyGroup(polys)
+    assert any(e > 1 for poly in polys for exps in poly.terms for e in exps)
+    points = np.stack([rot(k, np.longdouble) for k in range(3)])
+    points[2, 0, 1] = np.nan
+    out = group.value(points)
+    assert out.shape == (3, len(polys))
+    for i, P in enumerate(points):
+        for k, poly in enumerate(polys):
+            assert bits(out[i, k]) == bits(poly_value_terms(poly, P))
+            assert bits(poly.value(P)) == bits(out[i, k])
+    exact = np.full((3, 3), Fraction(1, 3), dtype=object)
+    assert list(group.value(exact)) == [poly_value_terms(p, exact) for p in polys]
+
+
+def test_dexpinv_matches_bracket_series(frame):
+    rng = np.random.default_rng(44)
+    u = (rng.standard_normal((200, 3)) * rng.uniform(0, 0.05, (200, 1))).astype(np.longdouble)
+    w = rng.standard_normal((200, 3)).astype(np.longdouble)
+    u[:20] = 0.0
+    u[20:40] = -u[20:40] * 0.0
+    w[40:60, 1] = 0.0
+    out = dexpinv(frame, u, w)
+    for i in range(len(u)):
+        want = dexpinv_brackets(frame, u[i], w[i])
+        assert bits(dexpinv(frame, u[i], w[i])) == bits(want)
+        assert bits(out[i]) == bits(want)
+
+
+def fd_aromatic(frame):
+    return make_aromatic_stepper(divergence_free_field(frame, "fd"))
+
+
+STEPPERS = {
+    "lie-euler": lambda F: make_stepper("lie-euler", F),
+    "aromatic": make_aromatic_stepper,
+    "aromatic-fd": lambda F: fd_aromatic(F.frame),
+    "reference": make_reference_stepper,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPERS))
+def test_steppers_act_per_lane(field, name):
+    stepper = STEPPERS[name](field)
+    points = np.stack([rot(k, np.longdouble) for k in (40, 41, 42)])
+    assert_lanes(stepper, points, 1e-2)
+    assert_lanes(stepper, points.reshape(3, 1, 3, 3), 3e-3)
+
+
+@pytest.mark.parametrize("name", sorted(STEPPERS))
+def test_step_volume_matches_column_loop(field, name):
+    stepper = STEPPERS[name](field)
+    p = rot(43, np.longdouble)
+    for t in (2e-2, 1e-3):
+        ld, q = _step_volume_image(stepper, p, t)
+        assert bits(ld) == bits(step_volume_columns(stepper, p, t))
+        assert bits(step_volume(stepper, p, t)) == bits(ld)
+        assert bits(q) == bits(stepper(p, t))
