@@ -77,11 +77,19 @@ MAX_OPERAND_TERMS = 4
 MAX_SAMPLES = 200
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in one ``error:`` line on
+    stderr and exit 2; subparsers are made from the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, and ``--suite`` reads ``SUITES`` at parse time."""
-    top = argparse.ArgumentParser(prog="postlie")
+    top = _Parser(prog="postlie")
     sub = top.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)

@@ -7,10 +7,10 @@ scalar functions.  The pieces:
 
 * ``GroupFrame``        the group data: algebra basis, structure constants,
                         exponential and logarithm, exponential charts.
-* ``MatrixPoly``        exact polynomials in the matrix entries, with the
+* ``MatrixPoly``        the analytic coefficient function: an exact
+                        polynomial in the matrix entries, with the
                         directional derivative along right translation.
-* ``AnalyticCoeff``     coefficient function backed by a ``MatrixPoly``;
-* ``NumericCoeff``      coefficient function backed by a plain callable,
+* ``NumericCoeff``      the fd coefficient function: a plain callable,
                         differentiated by high-order central differences.
 * ``FrameVectorField``  a field  sum_i f^i E_i  in frame coordinates.
 * evaluation            ``eval_tree`` / ``forest_operator_fn`` / ``aroma_fn``
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -275,38 +276,43 @@ def _cast_coeff(dtype, c: Fraction):
 
 
 class MatrixPoly:
-    """Polynomial in the entries of a d x d matrix, Fraction coefficients.
+    """Polynomial in the entries of a frame's n x n matrix, Fraction
+    coefficients: the analytic coefficient function of a field.
 
     Terms map an exponent tuple (row-major over entries) to a nonzero
     coefficient.  The constructor takes ownership of its dict as given;
     instances come from ``zero``, ``const``, ``entry`` and the arithmetic.
     ``derive_along(M)`` is the derivative along  s -> Q (I + s M), the
-    infinitesimal right translation when M sits in the Lie algebra.
+    infinitesimal right translation when M sits in the Lie algebra, and
+    ``derive(i)`` is that derivative along the frame direction e_i,
+    remembered per direction (the memo is made on the first ``derive``).
     """
 
-    __slots__ = ("dim", "terms", "_group")
+    __slots__ = ("frame", "terms", "_group", "_dcache")
 
-    def __init__(self, dim: int, terms: dict[Exponents, Fraction]):
-        self.dim = dim
+    def __init__(self, frame: GroupFrame, terms: dict[Exponents, Fraction]):
+        self.frame = frame
         self.terms = terms
         self._group: PolyGroup | None = None
+        self._dcache: dict[int, MatrixPoly] | None = None
 
     @staticmethod
-    def zero(dim: int) -> "MatrixPoly":
-        return MatrixPoly(dim, {})
+    def zero(frame: GroupFrame) -> "MatrixPoly":
+        return MatrixPoly(frame, {})
 
     @staticmethod
-    def const(dim: int, c) -> "MatrixPoly":
+    def const(frame: GroupFrame, c) -> "MatrixPoly":
         c = Fraction(c)
         if not c:
-            return MatrixPoly.zero(dim)
-        return MatrixPoly(dim, {(0,) * (dim * dim): c})
+            return MatrixPoly.zero(frame)
+        return MatrixPoly(frame, {(0,) * frame.basis[0].size: c})
 
     @staticmethod
-    def entry(dim: int, a: int, b: int) -> "MatrixPoly":
-        exps = [0] * (dim * dim)
-        exps[a * dim + b] = 1
-        return MatrixPoly(dim, {tuple(exps): Fraction(1)})
+    def entry(frame: GroupFrame, a: int, b: int) -> "MatrixPoly":
+        n = frame.basis[0].shape[0]
+        exps = [0] * (n * n)
+        exps[a * n + b] = 1
+        return MatrixPoly(frame, {tuple(exps): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -319,10 +325,10 @@ class MatrixPoly:
                 acc[exps] = s
             else:
                 acc.pop(exps, None)
-        return MatrixPoly(self.dim, acc)
+        return MatrixPoly(self.frame, acc)
 
     def __neg__(self) -> "MatrixPoly":
-        return MatrixPoly(self.dim, {e: -c for e, c in self.terms.items()})
+        return MatrixPoly(self.frame, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MatrixPoly") -> "MatrixPoly":
         return self + (-other)
@@ -337,19 +343,32 @@ class MatrixPoly:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        return MatrixPoly(self.dim, acc)
+        return MatrixPoly(self.frame, acc)
 
     def scale(self, c) -> "MatrixPoly":
         c = Fraction(c)
         if not c:
-            return MatrixPoly.zero(self.dim)
+            return MatrixPoly.zero(self.frame)
         if c == 1:
             return self
-        return MatrixPoly(self.dim, {e: c * v for e, v in self.terms.items()})
+        return MatrixPoly(self.frame, {e: c * v for e, v in self.terms.items()})
+
+    def derive(self, i: int) -> "MatrixPoly":
+        """The frame derivative E_i, ``derive_along(frame.basis[i])``.
+
+        Threads that race here at worst derive an equal polynomial twice.
+        """
+        cache = self._dcache
+        if cache is None:
+            cache = self._dcache = {}
+        out = cache.get(i)
+        if out is None:
+            out = cache[i] = self.derive_along(self.frame.basis[i])
+        return out
 
     def derive_along(self, direction) -> "MatrixPoly":
         """Derivative along  s -> Q (I + s M):  entry (a,b) flows to (QM)_ab."""
-        d = self.dim
+        d = self.frame.basis[0].shape[0]
         M = np.asarray(direction)
         acc: dict[Exponents, Fraction] = {}
         for exps, c in self.terms.items():
@@ -371,7 +390,7 @@ class MatrixPoly:
                         acc[key] = s
                     else:
                         acc.pop(key, None)
-        return MatrixPoly(d, acc)
+        return MatrixPoly(self.frame, acc)
 
     def value(self, Q):
         """Evaluate at a matrix or a stack (..., d, d); dtype follows Q
@@ -383,23 +402,10 @@ class MatrixPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixPoly):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.frame is other.frame and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in sorted(self.terms.items()):
-            factors = [str(c)]
-            for v, e in enumerate(exps):
-                if e:
-                    a, b = divmod(v, self.dim)
-                    factors.append(f"Q{a}{b}" + (f"^{e}" if e > 1 else ""))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return hash(frozenset(self.terms.items()))
 
 
 class PolyGroup:
@@ -434,7 +440,7 @@ class PolyGroup:
         return plan
 
     def _build(self, dt) -> tuple:
-        one = self.polys[0].dim ** 2  # index of the constant 1 in the row
+        one = self.polys[0].frame.basis[0].size  # index of the constant 1 in the row
         powers = {(0, 0): one}
         rows = []
         for poly in self.polys:
@@ -480,57 +486,21 @@ class PolyGroup:
 # ---------------------------------------------------------------------------
 # Coefficient functions
 #
-# Both kinds expose value / derive / add / mul / scale, which is all the
-# evaluation machinery needs.  ``derive(i)`` is the frame direction E_i.
-
-
-class AnalyticCoeff:
-    """Coefficient function with exact polynomial derivatives."""
-
-    __slots__ = ("frame", "poly", "_dcache")
-
-    def __init__(self, frame: GroupFrame, poly: MatrixPoly):
-        self.frame = frame
-        self.poly = poly
-        self._dcache: dict[int, "AnalyticCoeff"] = {}
-
-    @staticmethod
-    def entry(frame: GroupFrame, a: int, b: int) -> "AnalyticCoeff":
-        return AnalyticCoeff(frame, MatrixPoly.entry(frame.basis[0].shape[0], a, b))
-
-    @staticmethod
-    def const(frame: GroupFrame, c) -> "AnalyticCoeff":
-        return AnalyticCoeff(frame, MatrixPoly.const(frame.basis[0].shape[0], c))
-
-    def value(self, Q):
-        return self.poly.value(Q)
-
-    def derive(self, i: int) -> "AnalyticCoeff":
-        out = self._dcache.get(i)
-        if out is None:
-            out = AnalyticCoeff(self.frame, self.poly.derive_along(self.frame.basis[i]))
-            self._dcache[i] = out
-        return out
-
-    def add(self, other: "AnalyticCoeff") -> "AnalyticCoeff":
-        return AnalyticCoeff(self.frame, self.poly + other.poly)
-
-    def mul(self, other: "AnalyticCoeff") -> "AnalyticCoeff":
-        return AnalyticCoeff(self.frame, self.poly * other.poly)
-
-    def scale(self, c) -> "AnalyticCoeff":
-        return AnalyticCoeff(self.frame, self.poly.scale(c))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
+# A coefficient function is a ``MatrixPoly`` (analytic, exact) or a
+# ``NumericCoeff`` (fd, finite differences).  Both speak one protocol,
+# which is all the evaluation machinery needs: ``value(Q)``, ``derive(i)``
+# along the frame direction E_i, ``+`` and ``*`` with a coefficient of the
+# same kind, ``scale(c)`` and ``is_zero()``.  A field takes one kind only.
 
 
 class NumericCoeff:
-    """Coefficient function backed by a callable.
+    """The fd coefficient function: a callable, differentiated by finite
+    differences.
 
-    Frame derivatives are one 4th-order central difference along the
-    frame direction at the single step ``_STEP``.  Derivatives stack, so
-    any depth is available at the cost of repeated differencing.
+    ``derive(i)`` is one 4th-order central difference along the frame
+    direction e_i at the single step ``_STEP``.  Derivatives stack, so
+    any depth is available at the cost of repeated differencing; ``+``,
+    ``*`` and ``scale`` compose callables pointwise.
 
     The four shift matrices exp(k h e_i), k in {2, 1, -1, -2}, are built
     once per derived direction and shared by every stencil evaluation.
@@ -600,11 +570,11 @@ class NumericCoeff:
         self._dcache[i] = out
         return out
 
-    def add(self, other: "NumericCoeff") -> "NumericCoeff":
+    def __add__(self, other: "NumericCoeff") -> "NumericCoeff":
         f, g = self.value, other.value
         return NumericCoeff(self.frame, lambda Q: f(Q) + g(Q))
 
-    def mul(self, other: "NumericCoeff") -> "NumericCoeff":
+    def __mul__(self, other: "NumericCoeff") -> "NumericCoeff":
         f, g = self.value, other.value
         return NumericCoeff(self.frame, lambda Q: f(Q) * g(Q))
 
@@ -622,7 +592,12 @@ class NumericCoeff:
 
 
 class FrameVectorField:
-    """A vector field  sum_i f^i E_i  in a left-invariant frame."""
+    """A vector field  sum_i f^i E_i  in a left-invariant frame.
+
+    The coefficients are all ``MatrixPoly`` (an analytic field) or all
+    ``NumericCoeff`` (an fd field); the constructor decides which, once,
+    and every evaluation follows that decision.
+    """
 
     __slots__ = ("frame", "coeffs", "_polys", "_tree_cache", "_matrix_cache",
                  "_aroma_cache", "_point_map")
@@ -632,10 +607,15 @@ class FrameVectorField:
         self.coeffs = tuple(coeffs)
         if len(self.coeffs) != frame.dim:
             raise ValueError("one coefficient per frame direction")
-        # Polynomial coefficients evaluate together, in one pass.
-        self._polys = (PolyGroup(c.poly for c in self.coeffs)
-                       if all(isinstance(c, AnalyticCoeff) for c in self.coeffs)
-                       else None)
+        # An analytic field's coefficients evaluate together, in one pass;
+        # None marks an fd field.
+        self._polys = None
+        if all(isinstance(c, MatrixPoly) for c in self.coeffs):
+            self._polys = PolyGroup(self.coeffs)
+        elif not all(isinstance(c, NumericCoeff) for c in self.coeffs):
+            raise ConfigurationError(
+                "field coefficients must be all MatrixPoly (analytic) "
+                "or all NumericCoeff (fd)")
         self._tree_cache: dict[PlanarTree, "FrameVectorField"] = {}
         self._matrix_cache: dict[Forest, Callable] = {}
         self._aroma_cache: dict[AromaGenerator, object] = {}
@@ -656,11 +636,8 @@ class FrameVectorField:
 
     def apply_to(self, phi):
         """F[phi] = sum_i f^i E_i[phi], the full derivation (not frozen)."""
-        acc = None
-        for i, c in enumerate(self.coeffs):
-            term = c.mul(phi.derive(i))
-            acc = term if acc is None else acc.add(term)
-        return acc
+        return functools.reduce(
+            operator.add, (c * phi.derive(i) for i, c in enumerate(self.coeffs)))
 
 
 def connection(Y: FrameVectorField, X: FrameVectorField, p) -> np.ndarray:
@@ -727,13 +704,12 @@ def forest_operator_fn(omega: Forest, F: FrameVectorField, phi):
                 c = letter.coeffs[i]
                 if c.is_zero():
                     continue
-                new.append((c if coeff is None else coeff.mul(c), fn.derive(i)))
+                new.append((c if coeff is None else coeff * c, fn.derive(i)))
         terms = new
-    acc = None
-    for coeff, fn in terms:
-        part = fn if coeff is None else coeff.mul(fn)
-        acc = part if acc is None else acc.add(part)
-    return phi.scale(0) if acc is None else acc
+    if not terms:
+        return phi.scale(0)
+    return functools.reduce(
+        operator.add, (fn if coeff is None else coeff * fn for coeff, fn in terms))
 
 
 def eval_tree(tau: PlanarTree, F: FrameVectorField, p) -> np.ndarray:
@@ -752,10 +728,8 @@ def aroma_fn(gen: AromaGenerator, F: FrameVectorField):
     cached = F._aroma_cache.get(gen)
     if cached is not None:
         return cached
-    acc = None
-    for i, c in enumerate(F.coeffs):
-        term = F.apply_to(c).derive(i)
-        acc = term if acc is None else acc.add(term)
+    acc = functools.reduce(
+        operator.add, (F.apply_to(c).derive(i) for i, c in enumerate(F.coeffs)))
     for tau in gen.applied:
         acc = tree_field(tau, F).apply_to(acc)
     F._aroma_cache[gen] = acc
@@ -797,9 +771,9 @@ def _word_matrix_fn(F: FrameVectorField, w: Forest) -> Callable:
     if fn is not None:
         return fn
     frame = F.frame
-    if isinstance(F.coeffs[0], AnalyticCoeff):
+    if F._polys is not None:
         n = frame.basis[0].shape[0]
-        grid = PolyGroup(forest_operator_fn(w, F, AnalyticCoeff.entry(frame, a, b)).poly
+        grid = PolyGroup(forest_operator_fn(w, F, MatrixPoly.entry(frame, a, b))
                          for a in range(n) for b in range(n))
 
         def fn(A):
@@ -842,14 +816,19 @@ def element_tangent_matrix(x: AlgebroidElement, F: FrameVectorField, Q) -> np.nd
 # as that point on its own.
 
 
+def _geodesic(frame: GroupFrame, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A expm(B); refuses a non-finite result."""
+    out = A @ frame.exp_map(B)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("step left the chart (non-finite exponential)")
+    return out
+
+
 def lie_euler_step(F: FrameVectorField, p, t) -> np.ndarray:
     """One geodesic step:  p -> p expm(t f^i(p) e_i)."""
     A = np.asarray(p)
     dt = A.dtype.type(t)
-    out = A @ F.frame.exp_map(F.frame.hat(dt * F.values(A)))
-    if not np.all(np.isfinite(out)):
-        raise NumericError("step left the chart (non-finite exponential)")
-    return out
+    return _geodesic(F.frame, A, F.frame.hat(dt * F.values(A)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -873,11 +852,7 @@ def make_aromatic_stepper(F: FrameVectorField):
         for k, el in pieces:
             M = M + tt ** k * element_tangent_matrix(el, F, A)
         B = np.swapaxes(A, -1, -2) @ M
-        B = (B - np.swapaxes(B, -1, -2)) / 2
-        out = A @ F.frame.exp_map(B)
-        if not np.all(np.isfinite(out)):
-            raise NumericError("step left the chart (non-finite exponential)")
-        return out
+        return _geodesic(F.frame, A, (B - np.swapaxes(B, -1, -2)) / 2)
 
     return step
 
@@ -1044,24 +1019,19 @@ def divergence_free_field(frame: GroupFrame | None = None,
         frame = so3()
     if frame.dim != 3:
         raise ConfigurationError("recipe needs a three-dimensional frame")
-    n = frame.basis[0].shape[0]
-    h = MatrixPoly.entry(n, 2, 2)
-
-    def d(i: int, poly: MatrixPoly) -> MatrixPoly:
-        return poly.derive_along(frame.basis[i])
-
-    g = (d(1, h), -d(0, h), MatrixPoly.zero(n))
+    h = MatrixPoly.entry(frame, 2, 2)
+    g = (h.derive(1), -h.derive(0), MatrixPoly.zero(frame))
     eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
            (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
     f = []
     for i in range(3):
-        acc = MatrixPoly.zero(n)
+        acc = MatrixPoly.zero(frame)
         for (a, b, c), s in eps.items():
             if a == i:
-                acc = acc + d(b, g[c]).scale(s)
+                acc = acc + g[c].derive(b).scale(s)
         f.append(acc)
     if derivatives == "analytic":
-        coeffs = tuple(AnalyticCoeff(frame, poly) for poly in f)
+        coeffs = tuple(f)
     elif derivatives == "fd":
         coeffs = tuple(NumericCoeff(frame, poly.value) for poly in f)
     else:
@@ -1215,12 +1185,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     frame = group()
     F = make_field(cfg.field, frame, cfg.derivatives)
     p = _base_point(cfg, frame)
-    if cfg.kind == "volume":
-        return _volume_experiment(cfg, frame, F, p)
-    return _order_experiment(cfg, frame, F, p)
+    rows_of = _volume_rows if cfg.kind == "volume" else _order_rows
+    rows = _map_rows(rows_of(cfg, frame, F, p), cfg.t_grid, cfg.threads)
+    slope, residual = slope_estimate([(r.t, r.abs_err) for r in rows])
+    return ExperimentResult(rows, slope, residual)
 
 
-def _volume_experiment(cfg, frame, F, p) -> ExperimentResult:
+def _volume_rows(cfg, frame, F, p) -> Callable[[float], ExperimentRow]:
+    """A volume experiment's rows, t -> the log-volume of one step t."""
     stepper = make_stepper(cfg.method, F)
     stepper(p, cfg.t_grid[0])  # warm evaluation caches before any fan-out
 
@@ -1228,13 +1200,12 @@ def _volume_experiment(cfg, frame, F, p) -> ExperimentResult:
         ld = float(step_volume(stepper, p, t, frame))
         return ExperimentRow(t, ld, abs(ld), cfg.method, cfg.field, cfg.seed)
 
-    rows = _map_rows(one, cfg.t_grid, cfg.threads)
-    slope, residual = slope_estimate([(r.t, r.abs_err) for r in rows])
-    return ExperimentResult(rows, slope, residual)
+    return one
 
 
-def _order_experiment(cfg, frame, F, p) -> ExperimentResult:
-    """Global accuracy over the horizon t_max, one row per step size."""
+def _order_rows(cfg, frame, F, p) -> Callable[[float], ExperimentRow]:
+    """An order experiment's rows, t -> global accuracy over the horizon
+    t_max in steps of about t."""
     horizon = cfg.t_grid[0]
     reference = make_reference_stepper(F)
     target = reference(p, horizon)
@@ -1254,6 +1225,4 @@ def _order_experiment(cfg, frame, F, p) -> ExperimentResult:
         err = float(np.sqrt(np.sum((q - target) ** 2)))
         return ExperimentRow(horizon / n, float(ld), err, cfg.method, cfg.field, cfg.seed)
 
-    rows = _map_rows(one, cfg.t_grid, cfg.threads)
-    slope, residual = slope_estimate([(r.t, r.abs_err) for r in rows])
-    return ExperimentResult(rows, slope, residual)
+    return one

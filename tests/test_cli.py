@@ -272,6 +272,103 @@ def test_every_subcommand_exit_contract(argv):
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
 
 
+# Usage errors, which the argument parser itself rejects.  Every long flag
+# the parser knows, so that a drawn unknown flag is not an abbreviation
+# of one (argparse accepts unique prefixes).
+KNOWN_FLAGS = ("--help", "--seed", "--config", "--max-grade", "--op", "--left",
+               "--right", "--suite", "--samples", "--order", "--method", "--group",
+               "--field", "--t-min", "--t-max", "--t-points", "--base-point",
+               "--derivatives", "--out", "--threads")
+# One valid command line per subcommand, to which a bad argument is added.
+VALID_HEADS = (
+    ["trees", "enumerate"],
+    ["algebra", "eval", "--op", "theta", "--left", "o"],
+    ["algebra", "check", "--suite", "smash"],
+    ["series", "gl-exp"],
+    ["series", "modified-field", "--method", "aromatic"],
+    ["experiment", "volume"],
+    ["experiment", "order"],
+)
+CHOICE_FLAGS = {
+    ("algebra", "eval"): ("op", sorted(BINARY_OPS) + sorted(UNARY_OPS)),
+    ("algebra", "check"): ("suite", sorted(SUITES)),
+    ("series", "modified-field"): ("method", ["lie-euler", "aromatic"]),
+    ("experiment", "volume"): ("base-point", ["random", "identity"]),
+    ("experiment", "order"): ("derivatives", ["analytic", "fd"]),
+}
+NUMBER_FLAGS = (
+    (["trees", "enumerate"], "max-grade", int),
+    (["algebra", "check", "--suite", "gl"], "samples", int),
+    (["series", "gl-exp"], "order", int),
+    (["experiment", "volume"], "seed", int),
+    (["experiment", "order"], "threads", int),
+    (["experiment", "volume"], "t-points", int),
+    (["experiment", "volume"], "t-min", float),
+    (["experiment", "order"], "t-max", float),
+)
+WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=10)
+
+
+def _not_a(kind):
+    """Text that ``kind`` (int or float) does not parse."""
+    def rejected(text: str) -> bool:
+        try:
+            kind(text)
+        except ValueError:
+            return True
+        return False
+    return st.text(max_size=8).filter(rejected)
+
+
+INVALID_ARGV = st.one_of(
+    # Unknown subcommands, at the top and at the second level.
+    WORD.filter(lambda w: not w.startswith("-")
+                and w not in ("trees", "algebra", "series", "experiment"))
+        .map(lambda w: [w]),
+    st.tuples(st.sampled_from(("trees", "algebra", "series", "experiment")),
+              WORD.filter(lambda w: not w.startswith("-")))
+        .filter(lambda c: c[1] not in ("enumerate", "eval", "check", "gl-exp",
+                                       "modified-field", "volume", "order"))
+        .map(list),
+    # Unknown flags, with and without a value, newlines included.
+    st.tuples(st.sampled_from(VALID_HEADS),
+              st.from_regex(r"--[a-z][a-z0-9-]{0,8}", fullmatch=True)
+                .filter(lambda f: not any(k.startswith(f) for k in KNOWN_FLAGS)),
+              st.none() | st.text(max_size=8))
+        .map(lambda c: c[0] + [c[1] if c[2] is None else f"{c[1]}={c[2]}"]),
+    # Values outside a flag's choices.
+    st.sampled_from(sorted(CHOICE_FLAGS)).flatmap(
+        lambda head: st.text(max_size=8)
+        .filter(lambda v: v not in CHOICE_FLAGS[head][1])
+        .map(lambda v: [*head, f"--{CHOICE_FLAGS[head][0]}={v}"])),
+    # Values that are not numbers.
+    st.sampled_from(NUMBER_FLAGS).flatmap(
+        lambda case: _not_a(case[2]).map(
+            lambda v: [*case[0], f"--{case[1]}={v}"])),
+    # Required arguments left out.
+    st.sampled_from(([], ["trees"], ["algebra"], ["series"], ["experiment"],
+                     ["algebra", "eval"], ["algebra", "eval", "--op", "gl"],
+                     ["algebra", "eval", "--left", "o"], ["algebra", "check"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=INVALID_ARGV)
+@example(argv=["bogus"])
+@example(argv=["experiment", "volume", "--base-point", "x"])
+@example(argv=["series", "gl-exp", "--order", "x"])
+@example(argv=["algebra", "eval", "--op", "gl"])
+def test_usage_errors_end_in_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert out.getvalue() == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("trees", "enumerate", "--max-grade=-3"),
     ("algebra", "check", "--suite", "gl", "--samples=-1"),

@@ -14,7 +14,6 @@ from postlie.algebroid import AlgebroidElement, parse_element
 from postlie.cli import main as cli_main
 from postlie.coeffs import AromaGenerator
 from postlie.geomint import (
-    AnalyticCoeff,
     CapacityError,
     ConfigurationError,
     ExperimentConfig,
@@ -59,7 +58,7 @@ def rot(seed: int, dtype=float) -> np.ndarray:
 
 def const_field(frame: GroupFrame, coeffs) -> FrameVectorField:
     return FrameVectorField(
-        frame, tuple(AnalyticCoeff.const(frame, c) for c in coeffs)
+        frame, tuple(MatrixPoly.const(frame, c) for c in coeffs)
     )
 
 
@@ -121,7 +120,7 @@ def test_charts_invert(frame):
 
 def test_matrix_poly_entry_values(frame):
     p = rot(4)
-    e = MatrixPoly.entry(3, 2, 0)
+    e = MatrixPoly.entry(frame, 2, 0)
     assert e.value(p) == pytest.approx(p[2, 0])
     combo = (e + e).scale(Fraction(1, 2)) - e
     assert combo.value(p) == pytest.approx(0.0, abs=1e-18)
@@ -129,8 +128,8 @@ def test_matrix_poly_entry_values(frame):
 
 def test_matrix_poly_product_rule(frame):
     p = rot(5)
-    a = MatrixPoly.entry(3, 0, 0)
-    b = MatrixPoly.entry(3, 1, 1)
+    a = MatrixPoly.entry(frame, 0, 0)
+    b = MatrixPoly.entry(frame, 1, 1)
     d = (a * b).derive_along(frame.basis[2])
     want = (a.derive_along(frame.basis[2]) * b).value(p) + (
         a * b.derive_along(frame.basis[2])
@@ -138,8 +137,8 @@ def test_matrix_poly_product_rule(frame):
     assert d.value(p) == pytest.approx(want, rel=1e-12)
 
 
-def test_matrix_poly_exact_on_object_arrays():
-    e = MatrixPoly.entry(3, 2, 2)
+def test_matrix_poly_exact_on_object_arrays(frame):
+    e = MatrixPoly.entry(frame, 2, 2)
     q = np.full((3, 3), Fraction(1, 3), dtype=object)
     assert (e * e).value(q) == Fraction(1, 9)
 
@@ -147,15 +146,18 @@ def test_matrix_poly_exact_on_object_arrays():
 def test_directional_derivative_is_left_invariant(frame):
     # E_i[Q_ab] at Q is (Q e_i)_ab.
     p = rot(6)
+    e = MatrixPoly.entry(frame, 1, 2)
     for i in range(3):
-        d = MatrixPoly.entry(3, 1, 2).derive_along(frame.basis[i])
+        d = e.derive_along(frame.basis[i])
         assert d.value(p) == pytest.approx((p @ frame.basis[i])[1, 2], rel=1e-12)
+        # ``derive(i)`` is that derivative along the frame, made once.
+        assert e.derive(i) == d
+        assert e.derive(i) is e.derive(i)
 
 
 def test_numeric_coeff_matches_analytic(frame):
-    poly = MatrixPoly.entry(3, 2, 0) * MatrixPoly.entry(3, 2, 2)
-    an = AnalyticCoeff(frame, poly)
-    fd = NumericCoeff(frame, poly.value)
+    an = MatrixPoly.entry(frame, 2, 0) * MatrixPoly.entry(frame, 2, 2)
+    fd = NumericCoeff(frame, an.value)
     p = rot(7)
     for i in range(3):
         assert fd.derive(i).value(p) == pytest.approx(
@@ -177,7 +179,7 @@ def textbook_derive(frame, fn, i):
 
 
 def test_numeric_coeff_equals_textbook_stencil(frame):
-    poly = MatrixPoly.entry(3, 2, 0) * MatrixPoly.entry(3, 2, 2)
+    poly = MatrixPoly.entry(frame, 2, 0) * MatrixPoly.entry(frame, 2, 2)
     fd = NumericCoeff(frame, poly.value)
     p = rot(7, np.longdouble)
     for i in range(3):
@@ -189,13 +191,13 @@ def test_numeric_coeff_equals_textbook_stencil(frame):
 
 
 def test_numeric_coeff_memo_never_stale(frame):
-    poly = MatrixPoly.entry(3, 2, 0) * MatrixPoly.entry(3, 1, 2)
+    poly = MatrixPoly.entry(frame, 2, 0) * MatrixPoly.entry(frame, 1, 2)
     base = NumericCoeff(frame, poly.value)
     d1 = textbook_derive(frame, poly.value, 1)
     coeffs = (
         (base, poly.value),
         (base.derive(1), d1),
-        (base.derive(1).mul(base).add(base.scale(3)),
+        (base.derive(1) * base + base.scale(3),
          lambda Q: d1(Q) * poly.value(Q) + 3.0 * poly.value(Q)),
     )
     p, q = rot(11, np.longdouble), rot(12, np.longdouble)
@@ -214,8 +216,8 @@ def test_numeric_coeff_memo_never_stale(frame):
 
 
 def test_numeric_coeff_memo_under_threads(frame):
-    poly = MatrixPoly.entry(3, 0, 1) * MatrixPoly.entry(3, 2, 2)
-    c = NumericCoeff(frame, poly.value).mul(NumericCoeff.entry(frame, 1, 0))
+    poly = MatrixPoly.entry(frame, 0, 1) * MatrixPoly.entry(frame, 2, 2)
+    c = NumericCoeff(frame, poly.value) * NumericCoeff.entry(frame, 1, 0)
     points = [rot(seed, np.longdouble) for seed in range(6)]
     want = [poly.value(P) * P[1, 0] for P in points]
     wrong = []
@@ -307,9 +309,9 @@ def test_bracket_decomposition(frame, field):
     X = FrameVectorField(
         frame,
         (
-            AnalyticCoeff.entry(frame, 0, 1),
-            AnalyticCoeff.const(frame, 1),
-            AnalyticCoeff.const(frame, 0),
+            MatrixPoly.entry(frame, 0, 1),
+            MatrixPoly.const(frame, 1),
+            MatrixPoly.const(frame, 0),
         ),
     )
     p = rot(11)
@@ -360,6 +362,13 @@ NUMERIC_ERRORS = {
                    CapacityError, "grade 6 exceeds evaluation bound 5"),
     "aroma-base": (lambda F: aroma_fn(AromaGenerator("g"), F),
                    ConfigurationError, "unknown aroma generator 'g'"),
+    "mixed-kind": (lambda F: element_tangent_matrix(
+                       parse_element("[o]"),
+                       FrameVectorField(F.frame, (F.coeffs[0],
+                                                  NumericCoeff(F.frame, F.coeffs[1].value),
+                                                  F.coeffs[2])),
+                       rot(24)),
+                   ConfigurationError, "all MatrixPoly .analytic. or all NumericCoeff .fd."),
 }
 
 
@@ -398,7 +407,7 @@ def test_word_matrix_equals_entry_grid(frame, derivatives):
     word operators: one chain on the point map for fd, exact polynomials
     per entry for analytic."""
     F = divergence_free_field(frame, derivatives)
-    entry = NumericCoeff.entry if derivatives == "fd" else AnalyticCoeff.entry
+    entry = NumericCoeff.entry if derivatives == "fd" else MatrixPoly.entry
     words = {w for _, x in _aromatic_series(3) for w in x.terms}
     words.add(parse_forest("o [o] o"))
     points = (rot(21, np.longdouble), rot(22, np.longdouble))
@@ -641,17 +650,18 @@ def test_hat_vee_and_charts_act_per_lane(frame):
 def test_poly_group_matches_term_loop(field):
     """Each column of a group, on a stack or one point, has the bits of
     the term-by-term loop over that polynomial at that point."""
-    polys = [c.poly for c in field.coeffs]
+    frame = field.frame
+    polys = list(field.coeffs)
     for _, x in _aromatic_series(3):
         for w in x.terms:
-            polys += [forest_operator_fn(w, field, AnalyticCoeff.entry(field.frame, a, b)).poly
+            polys += [forest_operator_fn(w, field, MatrixPoly.entry(frame, a, b))
                       for a in range(3) for b in range(3)]
-    polys += [MatrixPoly.zero(3), MatrixPoly.const(3, Fraction(-2, 3))]
+    polys += [MatrixPoly.zero(frame), MatrixPoly.const(frame, Fraction(-2, 3))]
     # Enough terms that a pairwise or reordered sum would round differently.
-    linear = MatrixPoly.zero(3)
+    linear = MatrixPoly.zero(frame)
     for a in range(3):
         for b in range(3):
-            linear = linear + MatrixPoly.entry(3, a, b).scale(Fraction(a - 1, b + 3))
+            linear = linear + MatrixPoly.entry(frame, a, b).scale(Fraction(a - 1, b + 3))
     polys.append(linear * linear * linear)
     group = PolyGroup(polys)
     assert any(e > 1 for poly in polys for exps in poly.terms for e in exps)
